@@ -16,6 +16,7 @@ identified, 4 unsupported shape, 1 any other error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import IO
@@ -318,6 +319,7 @@ def cmd_locus(path: str) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latident",

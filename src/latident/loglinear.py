@@ -1,9 +1,10 @@
 """Hierarchical log-linear structure over a graph with one binary hidden node.
 
 Builds the parameter index (one coordinate per complete subset and non-baseline
-level combination, corner-point coding), the 0/1 design matrix mapping
-parameters to log expected cell counts, and the marginalization matrix that
-sums out the hidden variable.
+level combination, corner-point coding) and the 0/1 design matrix mapping
+parameters to log expected cell counts.  Summing out the hidden variable is the
+sum of the two hidden-level halves of a cell vector; `marginalization_matrix`
+spells that sum out as the dense matrix L = [I I] for tests only.
 
 Cell stacking convention: the hidden variable A0 changes slowest, then A1, down
 to An changing fastest (row-major order over (2, l1, ..., ln)).
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -124,35 +125,33 @@ def build_param_index(m: LatentModel) -> ParamIndex:
     return ParamIndex(tuple(entries))
 
 
-@lru_cache(maxsize=64)
-def cell_levels(m: LatentModel) -> np.ndarray:
-    """(2l, n+1) array of level values per cell, hidden variable slowest."""
-    dims = (2,) + tuple(m.levels[1:])
-    grids = np.indices(dims)
-    cells = grids.reshape(len(dims), -1).T
-    cells.setflags(write=False)
-    return cells
-
-
 def design_matrix(m: LatentModel, idx: ParamIndex) -> np.ndarray:
-    """Corner-point 0/1 design matrix, shape (2l, p).
+    """Corner-point 0/1 design matrix, shape (2l, p), C-contiguous float64.
 
     Entry (cell, (I, combo)) is 1 iff the cell's level of every v in I equals
-    the combo's level for v; the empty-set column is all ones.
+    the combo's level for v; the empty-set column is all ones.  Column j is
+    filled as one grid slice of the (2, l1, ..., ln, p) cell array: the axes of
+    the nodes in I are fixed at the combo's levels, every other axis is free.
     """
-    cells = cell_levels(m)
-    z = np.empty((cells.shape[0], idx.p), dtype=float)
+    dims = (2,) + tuple(m.levels[1:])
+    z = np.zeros(dims + (idx.p,))
     for j, e in enumerate(idx.entries):
-        if not e.nodes:
-            z[:, j] = 1.0
-        else:
-            z[:, j] = np.all(cells[:, list(e.nodes)] == e.levels, axis=1)
+        cell: list = [slice(None)] * len(dims)
+        for v, level in zip(e.nodes, e.levels):
+            cell[v] = level
+        z[(*cell, j)] = 1.0
+    z = z.reshape(-1, idx.p)
     z.setflags(write=False)
     return z
 
 
 def marginalization_matrix(m: LatentModel) -> np.ndarray:
-    """(l, 2l) matrix summing out the hidden variable: two side-by-side identities."""
+    """(l, 2l) matrix summing out the hidden variable: two side-by-side identities.
+
+    Reference definition of L for tests.  The numeric layer never forms it: it
+    adds the two hidden-level halves of a cell vector instead, which gives the
+    same numbers bit for bit.
+    """
     l = m.table_size
     out = np.hstack([np.eye(l), np.eye(l)])
     out.setflags(write=False)

@@ -2,9 +2,14 @@
 
 The Jacobian of the observed-table mean vector with respect to the log-linear
 parameters is L diag(exp(Z beta)) Z; its column rank at a point decides local
-identifiability there.  Rank is measured by full SVD with a relative tolerance
-and a gap rule: when the singular values do not drop by at least 1e3 across the
-chosen cut, the report is flagged ambiguous instead of silently committing.
+identifiability there.  L sums out the hidden variable.  It is applied as the
+sum of the two hidden-level halves (rows 0..l-1 and l..2l-1 of the cell
+stacking) and never formed: every entry of the dense product is that same
+two-term sum plus exact zeros, so the result is bitwise the same.
+
+Rank is measured by full SVD with a relative tolerance and a gap rule: when the
+singular values do not drop by at least 1e3 across the chosen cut, the report
+is flagged ambiguous instead of silently committing.
 
 Every stochastic operation takes an explicit seed; trial t of a batch draws
 from the stream keyed by (seed, t), so results do not depend on scheduling.
@@ -24,13 +29,7 @@ from .errors import (
     ExponentOverflowError,
     ValidationError,
 )
-from .loglinear import (
-    LatentModel,
-    ParamIndex,
-    build_param_index,
-    design_matrix,
-    marginalization_matrix,
-)
+from .loglinear import LatentModel, ParamIndex, build_param_index, design_matrix
 
 SAFE_EXPONENT = 700.0
 GAP_RULE = 1.0e3
@@ -67,37 +66,39 @@ def sample_beta(p: int, seed) -> NDArray[np.float64]:
 
 
 @lru_cache(maxsize=32)
-def _matrices(m: LatentModel, idx: ParamIndex) -> tuple[np.ndarray, np.ndarray]:
-    return design_matrix(m, idx), marginalization_matrix(m)
+def _design(m: LatentModel, idx: ParamIndex) -> np.ndarray:
+    return design_matrix(m, idx)
 
 
-def _check_beta(idx: ParamIndex, beta: NDArray) -> NDArray[np.float64]:
+def _cell_means(
+    m: LatentModel, idx: ParamIndex, beta: NDArray
+) -> tuple[np.ndarray, NDArray[np.float64]]:
+    """Design matrix Z and the full-table mean vector exp(Z beta)."""
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (idx.p,):
         raise DimensionMismatchError(
             f"beta has shape {beta.shape}, expected ({idx.p},)"
         )
-    return beta
-
-
-def mu_y(m: LatentModel, idx: ParamIndex, beta: NDArray) -> NDArray[np.float64]:
-    """Observed-table mean vector L exp(Z beta)."""
-    beta = _check_beta(idx, beta)
-    z, l_mat = _matrices(m, idx)
+    z = _design(m, idx)
     eta = z @ beta
     if np.max(np.abs(eta)) > SAFE_EXPONENT:
         raise ExponentOverflowError("linear predictor exceeds the safe exponent range")
-    return l_mat @ np.exp(eta)
+    return z, np.exp(eta)
+
+
+def mu_y(m: LatentModel, idx: ParamIndex, beta: NDArray) -> NDArray[np.float64]:
+    """Observed-table mean vector L exp(Z beta), shape (l,)."""
+    _, w = _cell_means(m, idx, beta)
+    l = m.table_size
+    return w[:l] + w[l:]
 
 
 def jacobian(m: LatentModel, idx: ParamIndex, beta: NDArray) -> NDArray[np.float64]:
     """Jacobian of mu_y with respect to beta: L diag(exp(Z beta)) Z, shape (l, p)."""
-    beta = _check_beta(idx, beta)
-    z, l_mat = _matrices(m, idx)
-    eta = z @ beta
-    if np.max(np.abs(eta)) > SAFE_EXPONENT:
-        raise ExponentOverflowError("linear predictor exceeds the safe exponent range")
-    return l_mat @ (np.exp(eta)[:, None] * z)
+    z, w = _cell_means(m, idx, beta)
+    d = w[:, None] * z
+    l = m.table_size
+    return d[:l] + d[l:]
 
 
 def numeric_rank(mat: NDArray, tol: float | None = None) -> RankReport:
@@ -130,7 +131,15 @@ def numeric_rank(mat: NDArray, tol: float | None = None) -> RankReport:
     )
 
 
-def _aggregate(reports: list[RankReport]) -> RankReport:
+def _trial_loop(
+    m: LatentModel, idx: ParamIndex | None, trials: int, tol: float | None, draw
+) -> RankReport:
+    """Rank the Jacobian at `draw(idx, t)` for t < trials and aggregate."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if idx is None:
+        idx = build_param_index(m)
+    reports = [numeric_rank(jacobian(m, idx, draw(idx, t)), tol=tol) for t in range(trials)]
     ranks = tuple(r.rank for r in reports)
     best = max(ranks)
     rep = next(r for r in reports if r.rank == best)
@@ -163,15 +172,7 @@ def generic_rank(
     maximum over trials estimates the generic rank; the modal rank and any
     disagreement across trials are reported alongside.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if idx is None:
-        idx = build_param_index(m)
-    reports = []
-    for t in range(trials):
-        beta = sample_beta(idx.p, [seed, t])
-        reports.append(numeric_rank(jacobian(m, idx, beta), tol=tol))
-    return _aggregate(reports)
+    return _trial_loop(m, idx, trials, tol, lambda idx, t: sample_beta(idx.p, [seed, t]))
 
 
 def rank_on_system(
@@ -186,14 +187,8 @@ def rank_on_system(
 
     All draws are expected to agree; `unanimous` records whether they did.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     from .singular import sample_on_subspace
 
-    if idx is None:
-        idx = build_param_index(m)
-    reports = []
-    for t in range(trials):
-        beta = sample_on_subspace(sys, idx, (seed, t))
-        reports.append(numeric_rank(jacobian(m, idx, beta), tol=tol))
-    return _aggregate(reports)
+    return _trial_loop(
+        m, idx, trials, tol, lambda idx, t: sample_on_subspace(sys, idx, (seed, t))
+    )

@@ -1,5 +1,11 @@
 import io
+import itertools
 import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -188,6 +194,33 @@ def test_verify_after_edge_addition(tmp_path, capsys):
     report = json.loads(out)
     assert report["verdict"]["status"] == "identified_everywhere"
     assert report["consistency"]["consistent"] is True
+
+
+def test_verify_sixteen_observed_nodes(tmp_path, capsys):
+    # 2^16 cells: a dense l x 2l marginalization matrix would take 69 GB here
+    n = 16
+    pairs = list(itertools.combinations(range(n + 1), 2))
+    edges = random.Random(3).sample(pairs, round(0.3 * len(pairs)))
+    path = tmp_path / "random16.model"
+    path.write_text(f"nodes {n + 1}\n" + "".join(f"edge {i} {j}\n" for i, j in sorted(edges)))
+    code, out, _ = run_cli(capsys, "verify", str(path), "--trials", "3")
+    assert code == 0
+    report = json.loads(out)
+    assert report["generic_rank"]["rank"] == report["p"] == 77
+    assert report["consistency"]["consistent"] is True
+
+
+def test_python_dash_m_entry_point():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "latident", "classify", model_path("path5")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["verdict"]["status"] == "identified_everywhere"
 
 
 def test_verify_reports_are_byte_identical(capsys):

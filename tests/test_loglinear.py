@@ -7,9 +7,9 @@ import pytest
 from latident import (
     Graph,
     LatentModel,
+    ParamEntry,
     ValidationError,
     build_param_index,
-    cell_levels,
     design_matrix,
     marginalization_matrix,
     numeric_rank,
@@ -122,10 +122,48 @@ def test_design_matrix_full_column_rank_multi_level():
     assert numeric_rank(design_matrix(m, idx)).rank == idx.p == 24
 
 
-def test_cell_levels_stacking_hidden_slowest():
+def reference_design_matrix(m: LatentModel, idx) -> np.ndarray:
+    """Per-column construction: list every cell's levels, then match each column."""
+    dims = (2,) + tuple(m.levels[1:])
+    cells = np.indices(dims).reshape(len(dims), -1).T
+    z = np.empty((cells.shape[0], idx.p), dtype=float)
+    for j, e in enumerate(idx.entries):
+        if not e.nodes:
+            z[:, j] = 1.0
+        else:
+            z[:, j] = np.all(cells[:, list(e.nodes)] == e.levels, axis=1)
+    return z
+
+
+MULTI_LEVEL_MODELS = {
+    "star2_levels223": LatentModel(Graph.from_edges(3, [(0, 1), (0, 2)]), (2, 2, 3)),
+    "edge_levels24": LatentModel(Graph.from_edges(2, [(0, 1)]), (2, 4)),
+    "path5_levels3": LatentModel(load_model("path5").graph, (2, 3, 2, 2, 2, 2)),
+    "triangle_pendants_levels234": LatentModel(
+        load_model("triangle_pendants").graph, (2, 3, 2, 4, 2, 3, 2)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + list(MULTI_LEVEL_MODELS))
+def test_design_matrix_matches_per_column_reference(name):
+    m = MULTI_LEVEL_MODELS.get(name) or load_model(name)
+    idx = build_param_index(m)
+    z = design_matrix(m, idx)
+    assert z.dtype == np.float64 and z.flags.c_contiguous
+    assert np.array_equal(z, reference_design_matrix(m, idx))
+
+
+def test_design_matrix_stacking_hidden_slowest():
     m = LatentModel(Graph.from_edges(3, [(0, 1), (0, 2)]), (2, 2, 3))
-    cells = cell_levels(m)
-    assert cells.shape == (12, 3)
+    idx = build_param_index(m)
+    z = design_matrix(m, idx)
+    assert z.shape == (12, idx.p)
+    # each row's level of node v, read back from the main-effect columns of v
+    cells = np.column_stack([
+        sum(k * z[:, idx.lookup[ParamEntry((v,), (k,))]] for k in range(1, m.levels[v]))
+        for v in range(3)
+    ])
     # hidden level flips halfway, the last variable cycles fastest
     assert list(cells[:, 0]) == [0] * 6 + [1] * 6
     assert list(cells[:6, 2]) == [0, 1, 2, 0, 1, 2]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,3 +202,37 @@ def test_jacobian_matches_mu_y_derivative(name):
     fd = finite_difference_jacobian(m, idx, beta)
     denom = np.linalg.norm(d)
     assert np.linalg.norm(d - fd) / denom < 1e-8
+
+
+BITWISE_MODELS = {name: load_model(name) for name in FIXTURE_NAMES}
+BITWISE_MODELS["triangle_pendants_levels234"] = LatentModel(
+    BITWISE_MODELS["triangle_pendants"].graph, (2, 3, 2, 4, 2, 3, 2)
+)
+
+
+@pytest.mark.parametrize("name", list(BITWISE_MODELS))
+def test_half_sum_equals_dense_marginalization_bitwise(name):
+    m = BITWISE_MODELS[name]
+    idx = build_param_index(m)
+    z = design_matrix(m, idx)
+    l_mat = marginalization_matrix(m)
+    for t in range(3):
+        beta = sample_beta(idx.p, [9, t])
+        w = np.exp(z @ beta)
+        assert np.array_equal(jacobian(m, idx, beta), l_mat @ (w[:, None] * z))
+        assert np.array_equal(mu_y(m, idx, beta), l_mat @ w)
+
+
+def test_jacobian_memory_linear_in_cells():
+    # 12 observed binary nodes: l = 4096 cells, so a dense L alone is 268 MB
+    m = star_model(12)
+    idx = build_param_index(m)
+    beta = sample_beta(idx.p, [0, 0])
+    design_bytes = 2 * m.table_size * idx.p * 8
+    tracemalloc.start()
+    try:
+        jacobian(m, idx, beta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * design_bytes
