@@ -10,7 +10,7 @@ Commands: classify (structural verdict only), verify (verdict plus numerical
 cross-check), rank (raw rank oracle at one point), locus (singular equations
 only).  Reports go to stdout as JSON; diagnostics to stderr.  Exit codes for
 classify/verify: 0 identified everywhere, 2 generically identified, 3 not
-identified, 4 unsupported shape, 1 any other error.
+identified, 1 any error.
 """
 
 from __future__ import annotations
@@ -23,15 +23,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    LatentIsolatedError,
-    LatidentError,
-    NotApplicableError,
-    ParseError,
-    UnsupportedModelError,
-    ValidationError,
-)
+from .errors import DimensionMismatchError, LatidentError, ParseError, ValidationError
 from .graph import Graph
 from .identify import Status, Verdict, classify
 from .loglinear import LatentModel, ParamIndex, build_param_index
@@ -44,18 +36,11 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_GENERIC = 2
 EXIT_NOT_IDENTIFIED = 3
-EXIT_UNSUPPORTED = 4
 
 _STATUS_EXIT = {
     Status.IDENTIFIED_EVERYWHERE: EXIT_OK,
     Status.GENERICALLY_IDENTIFIED: EXIT_GENERIC,
     Status.NOT_IDENTIFIED: EXIT_NOT_IDENTIFIED,
-}
-
-_STATUS_LABEL = {
-    Status.IDENTIFIED_EVERYWHERE: "identified_everywhere",
-    Status.GENERICALLY_IDENTIFIED: "generically_identified",
-    Status.NOT_IDENTIFIED: "not_identified",
 }
 
 
@@ -154,7 +139,7 @@ def _system_block(system: SingularSystem | None) -> dict | None:
 
 def _verdict_block(verdict: Verdict) -> dict:
     return {
-        "status": _STATUS_LABEL[verdict.status],
+        "status": verdict.status.value,
         "probe_only": verdict.probe_only,
         "s_nodes": _nodes(verdict.s_nodes),
         "t1_nodes": _nodes(verdict.t1_nodes),
@@ -312,7 +297,7 @@ def cmd_locus(path: str) -> int:
                 file=sys.stderr,
             )
         else:
-            print("no singular system: " + _STATUS_LABEL[verdict.status], file=sys.stderr)
+            print("no singular system: " + verdict.status.value, file=sys.stderr)
         return EXIT_OK
     for line in verdict.singular_system.render():
         print(line)
@@ -364,14 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "locus":
             return cmd_locus(args.file)
         raise AssertionError(f"unhandled command {args.command}")
-    except UnsupportedModelError as exc:
-        print(f"unsupported model: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (ParseError, ValidationError, LatentIsolatedError, NotApplicableError,
-            DimensionMismatchError, LatidentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (LatidentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -23,10 +23,6 @@ class LatentIsolatedError(LatidentError):
     """No observed node is adjacent to the hidden node; the hidden part is vacuous."""
 
 
-class UnsupportedModelError(LatidentError):
-    """The model falls outside the shapes the classifier covers; reported, not guessed."""
-
-
 class NotApplicableError(LatidentError):
     """The requested construction does not apply to this model."""
 

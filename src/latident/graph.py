@@ -9,7 +9,7 @@ targets (well under 63 nodes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -23,15 +23,6 @@ def _mask_of(nodes: Iterable[int]) -> int:
     return m
 
 
-def _set_of(mask: int) -> NodeSet:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
-
-
 def _bits(mask: int) -> list[int]:
     out = []
     while mask:
@@ -39,6 +30,10 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _set_of(mask: int) -> NodeSet:
+    return frozenset(_bits(mask))
 
 
 @dataclass(frozen=True)
@@ -142,6 +137,25 @@ def maximal_cliques(g: Graph) -> list[NodeSet]:
     return sorted((_set_of(m) for m in out), key=lambda s: tuple(sorted(s)))
 
 
+@lru_cache(maxsize=4096)
+def _complete_masks(g: Graph) -> tuple[int, ...]:
+    """Bitmask of every nonempty complete subset, ordered by size, then
+    lexicographically.  Each graph is enumerated once; every consumer reads
+    this tuple."""
+    adj = g.adjacency_masks
+    found: list[int] = []
+
+    def grow(mask: int, cand: int) -> None:
+        found.append(mask)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            grow(mask | low, cand & adj[low.bit_length() - 1])
+
+    grow(0, (1 << g.node_count) - 1)  # found[0] is the empty set
+    return tuple(sorted(found[1:], key=lambda m: (m.bit_count(), _bits(m))))
+
+
 def complete_subsets(g: Graph, min_size: int) -> list[NodeSet]:
     """Every subset inducing a complete subgraph, with cardinality >= min_size.
 
@@ -149,23 +163,7 @@ def complete_subsets(g: Graph, min_size: int) -> list[NodeSet]:
     """
     if min_size < 1:
         raise ValueError("min_size must be >= 1")
-    adj = g.adjacency_masks
-    found: list[int] = []
-
-    def grow(mask: int, size: int, cand: int) -> None:
-        if size >= min_size:
-            found.append(mask)
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            grow(mask | low, size + 1, cand & adj[v])
-
-    for v in range(g.node_count):
-        above = ~((2 << v) - 1)
-        grow(1 << v, 1, adj[v] & above)
-    sets = [_set_of(m) for m in found]
-    return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
+    return [_set_of(m) for m in _complete_masks(g) if m.bit_count() >= min_size]
 
 
 def connected_components(g: Graph) -> list[NodeSet]:

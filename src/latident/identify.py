@@ -14,17 +14,17 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .errors import LatentIsolatedError, UnsupportedModelError, ValidationError
+from .errors import LatentIsolatedError, ValidationError
 from .graph import (
     Graph,
     NodeSet,
     _bits,
+    _complete_masks,
     _mask_of,
     _set_of,
     complement,
-    complete_subsets,
     connected_components,
     induced_subgraph,
     maximal_cliques,
@@ -166,11 +166,6 @@ def _covers(comp_adj: tuple[int, ...], i_mask: int, j_mask: int) -> bool:
             return False
         m ^= low
     return True
-
-
-@lru_cache(maxsize=4096)
-def _complete_masks(g: Graph) -> tuple[int, ...]:
-    return tuple(_mask_of(s) for s in complete_subsets(g, 1))
 
 
 @lru_cache(maxsize=4096)
@@ -366,103 +361,53 @@ def classify(m: LatentModel) -> Verdict:
     and (ii) every clique of size > 1 in that induced graph has a generalized
     identifying sequence inside S.  When (i) fails the induced graph is either
     a single connected component (rank drops only on a numerically probed
-    subset) or exactly two complete components (rank deficient everywhere);
-    anything else is reported as unsupported.  When only (ii) fails the
-    explicit singular system is attached.
+    subset) or exactly two complete components (rank deficient everywhere).
+    When only (ii) fails the explicit singular system is attached.
     """
     s_nodes, t1_nodes = latent_partition(m)
     g_s, node_map = induced_subgraph(m.graph, sorted(s_nodes))
-    to_model = {local: orig for local, orig in enumerate(node_map)}
-    comp_s = complement(g_s)
+    to_model = dict(enumerate(node_map))
 
-    m_clique_local = None
-    for cl in maximal_cliques(comp_s):
-        if len(cl) >= 3:
-            m_clique_local = cl
-            break
+    def in_model(local: Iterable[int]) -> NodeSet:
+        return frozenset(to_model[v] for v in local)
 
-    if m_clique_local is None:
-        comps = connected_components(g_s)
-        if len(comps) == 1:
-            return Verdict(
-                status=Status.GENERICALLY_IDENTIFIED,
-                s_nodes=s_nodes,
-                t1_nodes=t1_nodes,
-                s_graph=g_s,
-                s_node_map=node_map,
-                m_clique=None,
-                clique_certs=(),
-                failing_sets=(),
-                singular_system=None,
-                probe_only=True,
-            )
-        if len(comps) == 2 and all(g_s.is_complete_set(c) for c in comps):
-            return Verdict(
-                status=Status.NOT_IDENTIFIED,
-                s_nodes=s_nodes,
-                t1_nodes=t1_nodes,
-                s_graph=g_s,
-                s_node_map=node_map,
-                m_clique=None,
-                clique_certs=(),
-                failing_sets=(),
-                singular_system=None,
-                probe_only=False,
-            )
-        raise UnsupportedModelError(
-            "no 3-clique in the complement, yet the induced observed graph has "
-            f"{len(comps)} components that are not two complete ones; "
-            "this shape is outside the supported classification"
-        )
-
-    m_clique = frozenset(to_model[v] for v in m_clique_local)
-    clique_certs: list[tuple[NodeSet, SequenceCert | None]] = []
-    any_failed = False
-    for cl in maximal_cliques(g_s):
-        if len(cl) <= 1:
-            continue
-        cert = find_generalized_sequence(g_s, cl)
-        if cert is None:
-            any_failed = True
-            clique_certs.append((frozenset(to_model[v] for v in cl), None))
-        else:
-            clique_certs.append(
-                (frozenset(to_model[v] for v in cl), cert.relabeled(to_model))
-            )
-
-    if not any_failed:
-        return Verdict(
-            status=Status.IDENTIFIED_EVERYWHERE,
-            s_nodes=s_nodes,
-            t1_nodes=t1_nodes,
-            s_graph=g_s,
-            s_node_map=node_map,
-            m_clique=m_clique,
-            clique_certs=tuple(clique_certs),
-            failing_sets=(),
-            singular_system=None,
-            probe_only=False,
-        )
-
-    plain_ok = _plain_ok(g_s)
-    failing_local = [
-        s for s in complete_subsets(g_s, 2) if _mask_of(s) not in plain_ok
-    ]
-    failing_sets = tuple(
-        frozenset(to_model[v] for v in s) for s in failing_local
+    m_clique = next(
+        (in_model(cl) for cl in maximal_cliques(complement(g_s)) if len(cl) >= 3), None
     )
-    from .singular import full_system
+    clique_certs: list[tuple[NodeSet, SequenceCert | None]] = []
+    failing_sets: list[NodeSet] = []
+    system = None
+    probe_only = False
+    if m_clique is None:
+        # With no complement 3-clique, a disconnected G_S is two complete components.
+        probe_only = len(connected_components(g_s)) == 1
+        status = Status.GENERICALLY_IDENTIFIED if probe_only else Status.NOT_IDENTIFIED
+    else:
+        for cl in maximal_cliques(g_s):
+            if len(cl) > 1:
+                cert = find_generalized_sequence(g_s, cl)
+                clique_certs.append((in_model(cl), cert.relabeled(to_model) if cert else None))
+        status = Status.IDENTIFIED_EVERYWHERE
+        if any(cert is None for _, cert in clique_certs):
+            from .singular import full_system
 
-    system = full_system(m)
+            status = Status.GENERICALLY_IDENTIFIED
+            plain_ok = _plain_ok(g_s)
+            failing_sets = [
+                in_model(_bits(c))
+                for c in _complete_masks(g_s)
+                if c.bit_count() > 1 and c not in plain_ok
+            ]
+            system = full_system(m)
     return Verdict(
-        status=Status.GENERICALLY_IDENTIFIED,
+        status=status,
         s_nodes=s_nodes,
         t1_nodes=t1_nodes,
         s_graph=g_s,
         s_node_map=node_map,
         m_clique=m_clique,
         clique_certs=tuple(clique_certs),
-        failing_sets=failing_sets,
+        failing_sets=tuple(failing_sets),
         singular_system=system,
-        probe_only=False,
+        probe_only=probe_only,
     )

@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, NodeSet, complete_subsets
+from .graph import Graph, NodeSet, _bits, _complete_masks
 
 LATENT = 0
 
@@ -115,9 +115,7 @@ def build_param_index(m: LatentModel) -> ParamIndex:
     then lexicographically on the level combination.  The total column count is
     sum over complete subsets I of prod_{v in I} (levels[v] - 1).
     """
-    subsets: list[tuple[int, ...]] = [()]
-    subsets += [tuple(sorted(s)) for s in complete_subsets(m.graph, 1)]
-    subsets.sort(key=lambda s: (len(s), s))
+    subsets = [(), *(tuple(_bits(c)) for c in _complete_masks(m.graph))]
     entries: list[ParamEntry] = []
     for nodes in subsets:
         for combo in product(*(range(1, m.levels[v]) for v in nodes)):

@@ -65,7 +65,7 @@ def sample_beta(p: int, seed) -> NDArray[np.float64]:
     return signs * magnitudes
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)  # verify and rank reuse only the current model's Z
 def _design(m: LatentModel, idx: ParamIndex) -> np.ndarray:
     return design_matrix(m, idx)
 

@@ -20,7 +20,10 @@ from .errors import InconsistentSystemError, NotApplicableError
 from .graph import (
     Graph,
     NodeSet,
+    _bits,
+    _complete_masks,
     _mask_of,
+    _set_of,
     boundary_in,
     complement,
     complete_subsets,
@@ -131,13 +134,14 @@ def locus_equations_for_set(m: LatentModel, i0: NodeSet) -> list[SingularEquatio
             f"{sorted(i0)} has an identifying sequence; no locus equations apply"
         )
     to_model = dict(enumerate(node_map))
-    comp_s = complement(g_s)
-    bd = boundary_in(comp_s, local)
+    bd_mask = _mask_of(boundary_in(complement(g_s), local))
+    adj = g_s.adjacency_masks
     equations: list[SingularEquation] = []
-    for v0 in (s for s in complete_subsets(g_s, 1) if s <= bd):
-        anchored = sorted(
-            i for i in local if all(g_s.has_edge(i, j) for j in v0)
-        )
+    for v0_mask in _complete_masks(g_s):
+        if v0_mask & ~bd_mask:
+            continue
+        v0 = _set_of(v0_mask)
+        anchored = [i for i in sorted(local) if adj[i] & v0_mask == v0_mask]
         subsets = [
             v0 | frozenset(extra)
             for r in range(len(anchored) + 1)
@@ -228,9 +232,9 @@ def full_system(m: LatentModel) -> SingularSystem:
     plain_ok = _plain_ok(g_s)
     to_model = dict(enumerate(node_map))
     equations: list[SingularEquation] = []
-    for s in complete_subsets(g_s, 2):
-        if _mask_of(s) not in plain_ok:
-            i0 = frozenset(to_model[v] for v in s)
+    for c in _complete_masks(g_s):
+        if c.bit_count() > 1 and c not in plain_ok:
+            i0 = frozenset(to_model[v] for v in _bits(c))
             equations.extend(locus_equations_for_set(m, i0))
     return SingularSystem(equations=tuple(_dedup(equations)))
 

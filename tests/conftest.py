@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 
 import pytest
@@ -28,6 +29,18 @@ def star_model(n: int) -> LatentModel:
     """Pure latent-class model: hidden node adjacent to n otherwise isolated nodes."""
     return LatentModel.binary(
         Graph.from_edges(n + 1, [(0, v) for v in range(1, n + 1)])
+    )
+
+
+def dense_model(n: int) -> LatentModel:
+    """K_n minus {1-2, 1-3, 2-3, 4-5, 6-7} on the observed nodes, hidden node
+    adjacent to all: many complete subsets, most without a plain sequence."""
+    removed = {(1, 2), (1, 3), (2, 3), (4, 5), (6, 7)}
+    return LatentModel.binary(
+        Graph.from_edges(
+            n + 1,
+            [pr for pr in itertools.combinations(range(n + 1), 2) if pr not in removed],
+        )
     )
 
 

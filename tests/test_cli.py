@@ -13,7 +13,6 @@ import pytest
 from latident import (
     LatentModel,
     ParseError,
-    UnsupportedModelError,
     ValidationError,
     build_param_index,
     parse_model,
@@ -323,15 +322,3 @@ def test_latent_isolated_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", str(path))
     assert code == 1
     assert "hidden node" in err
-
-
-def test_unsupported_model_exit_code(monkeypatch, capsys):
-    import latident.cli as cli_mod
-
-    def boom(_):
-        raise UnsupportedModelError("synthetic shape")
-
-    monkeypatch.setattr(cli_mod, "classify", boom)
-    code, _, err = run_cli(capsys, "classify", model_path("path5"))
-    assert code == 4
-    assert "unsupported" in err

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -15,15 +16,16 @@ from latident import (
     find_generalized_sequence,
     find_identifying_sequence,
     induced_subgraph,
+    is_connected,
     latent_class_check,
     latent_partition,
     maximal_cliques,
     complete_subsets,
 )
 from latident.graph import _mask_of
-from latident.identify import _generalized_ok, _plain_ok
+from latident.identify import _complete_masks, _generalized_ok, _plain_ok
 
-from conftest import load_model, star_model
+from conftest import dense_model, load_model, star_model
 
 
 def observed_graph(name):
@@ -249,6 +251,48 @@ def test_classify_latent_isolated_propagates():
     g = Graph.from_edges(3, [(1, 2)])
     with pytest.raises(LatentIsolatedError):
         classify(LatentModel.binary(g))
+
+
+def test_classify_enumerates_complete_subsets_once(monkeypatch):
+    # every consumer reads the cached masks; none enumerates through complete_subsets
+    calls = []
+    original = complete_subsets
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("latident") and getattr(module, "complete_subsets", None) is original:
+            monkeypatch.setattr(module, "complete_subsets", counted)
+    _complete_masks.cache_clear()
+    verdict = classify(dense_model(10))
+    assert len(verdict.failing_sets) > 100
+    assert _complete_masks.cache_info().misses == 1
+    assert calls == []
+
+
+def test_classify_covers_every_shape_hidden_adjacent_to_all():
+    # every labelled graph on k = 1..5 observed nodes, hidden node adjacent to all
+    seen = 0
+    for k in range(1, 6):
+        pairs = list(combinations(range(1, k + 1), 2))
+        for bits in range(1 << len(pairs)):
+            observed = {pr for b, pr in enumerate(pairs) if bits >> b & 1}
+            m = LatentModel.binary(
+                Graph.from_edges(k + 1, [(0, v) for v in range(1, k + 1)] + sorted(observed))
+            )
+            verdict = classify(m)
+            assert verdict.status in set(Status)
+            comp_triangle = any(
+                not {(a, b), (a, c), (b, c)} & observed
+                for a, b, c in combinations(range(1, k + 1), 3)
+            )
+            connected = is_connected(verdict.s_graph)
+            expected = not connected and not comp_triangle
+            assert (verdict.status is Status.NOT_IDENTIFIED) == expected, sorted(observed)
+            seen += 1
+    assert seen == 1099
 
 
 def test_latent_class_check_matches_classify():

@@ -236,3 +236,21 @@ def test_jacobian_memory_linear_in_cells():
     finally:
         tracemalloc.stop()
     assert peak < 4 * design_bytes
+
+
+def test_design_cache_keeps_only_the_latest_model():
+    # four different 12-observed-node models; only the last design matrix stays alive
+    star = [(0, v) for v in range(1, 13)]
+    models = [star_model(12)] + [
+        LatentModel.binary(Graph.from_edges(13, star + [edge])) for edge in [(1, 2), (3, 4), (5, 6)]
+    ]
+    indices = [build_param_index(m) for m in models]
+    largest_z = max(2 * m.table_size * idx.p * 8 for m, idx in zip(models, indices))
+    tracemalloc.start()
+    try:
+        for m, idx in zip(models, indices):
+            jacobian(m, idx, sample_beta(idx.p, [0, 0]))
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current < 2 * largest_z

@@ -19,7 +19,7 @@ from latident import (
 from latident.singular import EquationSource, SingularEquation
 from latident.loglinear import ParamEntry
 
-from conftest import load_model
+from conftest import FIXTURE_NAMES, dense_model, load_model
 
 TRIANGLE_PENDANTS_SYSTEM = {
     "b{0,2} + b{0,2,5} = 0",
@@ -92,6 +92,26 @@ def test_full_system_sources_are_failing_sets(k4_pendants):
     for eq in system.equations:
         assert eq.source.kind == "boundary"
         assert eq.source.base_set in failing
+
+
+@pytest.mark.parametrize(
+    "model",
+    [load_model(name) for name in FIXTURE_NAMES] + [dense_model(8), dense_model(9)],
+    ids=FIXTURE_NAMES + ["dense8", "dense9"],
+)
+def test_full_system_is_union_over_failing_sets(model):
+    verdict = classify(model)
+    if verdict.singular_system is None:
+        assert verdict.failing_sets == ()
+        return
+    first_seen = {}
+    for s in verdict.failing_sets:
+        for eq in locus_equations_for_set(model, s):
+            first_seen.setdefault(eq.render(), eq.source)
+    system = full_system(model)
+    assert {eq.render(): eq.source for eq in system.equations} == first_seen
+    assert len(system.equations) == len(first_seen)
+    assert system.equations == verdict.singular_system.equations
 
 
 def test_equation_terms_exist_in_param_index(triangle_pendants, k4_pendants):
