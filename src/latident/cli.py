@@ -15,7 +15,6 @@ identified, 1 any error.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
@@ -202,6 +201,8 @@ def cmd_classify(path: str) -> int:
 
 
 def cmd_verify(path: str, trials: int, seed: int, tol: float | None) -> int:
+    if trials < 1:
+        raise ValidationError("--trials must be >= 1")
     m = parse_model(path)
     verdict = classify(m)
     idx = build_param_index(m)
@@ -251,7 +252,10 @@ def cmd_verify(path: str, trials: int, seed: int, tol: float | None) -> int:
 
 def _load_beta(path: str, idx: ParamIndex) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        values = [float(tok) for tok in fh.read().split()]
+        try:
+            values = [float(tok) for tok in fh.read().split()]
+        except ValueError as exc:  # the message names the token
+            raise ValidationError(f"beta file: {exc}") from None
     if len(values) != idx.p:
         raise DimensionMismatchError(
             f"beta file has {len(values)} values, expected {idx.p}"
@@ -305,7 +309,9 @@ def cmd_locus(path: str) -> int:
 
 
 @functools.cache  # built once per process: parse_args leaves the parser unchanged
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # here only, so `import latident` does not load argparse
+
     parser = argparse.ArgumentParser(
         prog="latident",
         description=(

@@ -211,6 +211,13 @@ def _plain_ok(g: Graph) -> frozenset[int]:
     return frozenset(ok)
 
 
+def _failing_masks(g: Graph) -> list[int]:
+    """Complete sets of size >= 2 with no plain identifying sequence, in
+    (size, lexicographic) order: the sets that carry boundary equations."""
+    plain_ok = _plain_ok(g)
+    return [c for c in _complete_masks(g) if c.bit_count() > 1 and c not in plain_ok]
+
+
 def find_generalized_sequence(g_s: Graph, c0: NodeSet) -> SequenceCert | None:
     """Shortest generalized identifying sequence for the complete set c0, or None.
 
@@ -392,12 +399,7 @@ def classify(m: LatentModel) -> Verdict:
             from .singular import full_system
 
             status = Status.GENERICALLY_IDENTIFIED
-            plain_ok = _plain_ok(g_s)
-            failing_sets = [
-                in_model(_bits(c))
-                for c in _complete_masks(g_s)
-                if c.bit_count() > 1 and c not in plain_ok
-            ]
+            failing_sets = [in_model(_bits(c)) for c in _failing_masks(g_s)]
             system = full_system(m)
     return Verdict(
         status=status,

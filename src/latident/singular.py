@@ -7,6 +7,11 @@ models whose complement observed graph is disconnected.  Every equation is a
 sum of hidden-node interaction coordinates set to zero, with one coordinate
 designated so points on the subspace can be sampled by solving for the
 designated coordinates.
+
+Each system comes from one observed context per model (G_S, the subgraph on
+the hidden node's neighbours, and its complement), built once and handed to one
+boundary generator per failing set; node sets stay bitmasks until equations are
+emitted, and each system is deduplicated and sorted once.
 """
 
 from __future__ import annotations
@@ -23,16 +28,14 @@ from .graph import (
     _bits,
     _complete_masks,
     _mask_of,
-    _set_of,
     boundary_in,
     complement,
-    complete_subsets,
     connected_components,
     induced_subgraph,
     is_connected,
     maximal_cliques,
 )
-from .identify import _generalized_ok, _plain_ok, latent_partition
+from .identify import _failing_masks, _generalized_ok, _plain_ok, latent_partition
 from .loglinear import LATENT, LatentModel, ParamEntry, ParamIndex
 
 
@@ -74,44 +77,62 @@ class SingularSystem:
         return [eq.render() for eq in self.equations]
 
 
-def _observed_context(m: LatentModel) -> tuple[Graph, tuple[int, ...], dict[int, int]]:
-    s_nodes, _ = latent_partition(m)
-    g_s, node_map = induced_subgraph(m.graph, sorted(s_nodes))
-    to_local = {orig: local for local, orig in enumerate(node_map)}
-    return g_s, node_map, to_local
+def _observed_context(m: LatentModel) -> tuple[Graph, tuple[int, ...], Graph]:
+    """G_S (local ids), its map back to model ids, and its complement."""
+    g_s, node_map = induced_subgraph(m.graph, latent_partition(m)[0])
+    return g_s, node_map, complement(g_s)
+
+
+def _subsets(mask: int) -> list[int]:
+    """Every subset of mask, the empty one first, in (size, lexicographic) order."""
+    singles = [1 << v for v in _bits(mask)]
+    return [sum(t) for r in range(len(singles) + 1) for t in combinations(singles, r)]
 
 
 def _expand_equation(
     m: LatentModel,
-    subsets: list[NodeSet],
-    designated_subset: NodeSet,
+    node_map: tuple[int, ...],
+    term_masks: list[int],
+    designated: int,
     source: EquationSource,
 ) -> list[SingularEquation]:
     """One equation per level combination of the observed nodes involved.
 
-    `subsets` lists the observed part of each term (model ids); the hidden node
-    is added to every term.  For an all-binary model this produces exactly one
-    equation.
+    `term_masks` (observed parts, local ids of G_S) come in (size, lexicographic)
+    order, which adding the hidden node keeps, so the terms need no sort;
+    `designated` is one of them.  An all-binary model gives exactly one equation.
     """
-    involved = sorted(set().union(*subsets))
-    level_ranges = [range(1, m.levels[v]) for v in involved]
+    term_nodes = [tuple(node_map[v] for v in _bits(t)) for t in term_masks]
+    involved = sorted(set().union(*term_nodes))
+    at = term_masks.index(designated)
     out = []
-    for combo in product(*level_ranges):
+    for combo in product(*(range(1, m.levels[v]) for v in involved)):
         level_of = dict(zip(involved, combo))
-
-        def entry(obs: NodeSet) -> ParamEntry:
-            nodes = tuple(sorted({LATENT, *obs}))
-            return ParamEntry(
-                nodes, tuple(1 if v == LATENT else level_of[v] for v in nodes)
-            )
-
-        terms = tuple(sorted((entry(s) for s in subsets), key=ParamEntry.sort_key))
-        out.append(
-            SingularEquation(
-                terms=terms, designated=entry(designated_subset), source=source
-            )
+        terms = tuple(
+            ParamEntry((LATENT, *nodes), (1, *(level_of[v] for v in nodes)))
+            for nodes in term_nodes
         )
+        out.append(SingularEquation(terms=terms, designated=terms[at], source=source))
     return out
+
+
+def _boundary_equations(
+    m: LatentModel, g_s: Graph, node_map: tuple[int, ...], comp_s: Graph, c_mask: int
+) -> list[SingularEquation]:
+    """Unsorted boundary equations of the failing set c_mask (local ids of G_S)."""
+    c_nodes = _bits(c_mask)
+    bd_mask = _mask_of(boundary_in(comp_s, c_nodes))
+    adj = g_s.adjacency_masks
+    base_set = frozenset(node_map[v] for v in c_nodes)
+    equations: list[SingularEquation] = []
+    for v0 in _complete_masks(g_s):
+        if v0 & ~bd_mask:
+            continue
+        anchored = sum(1 << i for i in c_nodes if adj[i] & v0 == v0)
+        source = EquationSource("boundary", base_set, frozenset(node_map[v] for v in _bits(v0)))
+        terms = [v0 | extra for extra in _subsets(anchored)]
+        equations.extend(_expand_equation(m, node_map, terms, v0, source))
+    return equations
 
 
 def locus_equations_for_set(m: LatentModel, i0: NodeSet) -> list[SingularEquation]:
@@ -123,39 +144,18 @@ def locus_equations_for_set(m: LatentModel, i0: NodeSet) -> list[SingularEquatio
     is designated.
     """
     i0 = frozenset(i0)
-    g_s, node_map, to_local = _observed_context(m)
+    g_s, node_map, comp_s = _observed_context(m)
     if not i0 <= set(node_map):
         raise ValueError("i0 must consist of observed nodes adjacent to the hidden node")
-    local = frozenset(to_local[v] for v in i0)
+    local = [node_map.index(v) for v in i0]
     if len(local) < 2 or not g_s.is_complete_set(local):
         raise ValueError(f"{sorted(i0)} is not a complete set of size >= 2")
-    if _mask_of(local) in _plain_ok(g_s):
+    c_mask = _mask_of(local)
+    if c_mask in _plain_ok(g_s):
         raise NotApplicableError(
             f"{sorted(i0)} has an identifying sequence; no locus equations apply"
         )
-    to_model = dict(enumerate(node_map))
-    bd_mask = _mask_of(boundary_in(complement(g_s), local))
-    adj = g_s.adjacency_masks
-    equations: list[SingularEquation] = []
-    for v0_mask in _complete_masks(g_s):
-        if v0_mask & ~bd_mask:
-            continue
-        v0 = _set_of(v0_mask)
-        anchored = [i for i in sorted(local) if adj[i] & v0_mask == v0_mask]
-        subsets = [
-            v0 | frozenset(extra)
-            for r in range(len(anchored) + 1)
-            for extra in combinations(anchored, r)
-        ]
-        source = EquationSource(
-            kind="boundary",
-            base_set=frozenset(to_model[v] for v in local),
-            other_set=frozenset(to_model[v] for v in v0),
-        )
-        model_subsets = [frozenset(to_model[v] for v in s) for s in subsets]
-        designated = frozenset(to_model[v] for v in v0)
-        equations.extend(_expand_equation(m, model_subsets, designated, source))
-    return _dedup(equations)
+    return _dedup(_boundary_equations(m, g_s, node_map, comp_s, c_mask))
 
 
 def disconnection_equations(m: LatentModel) -> list[SingularEquation]:
@@ -166,39 +166,26 @@ def disconnection_equations(m: LatentModel) -> list[SingularEquation]:
     inside the union: the coordinates of {0, I} over the subsets I of S' not
     contained in I1 sum to zero.  The {0, S'} term is designated.
     """
-    g_s, node_map, _ = _observed_context(m)
-    comp_s = complement(g_s)
+    g_s, node_map, comp_s = _observed_context(m)
     if is_connected(comp_s):
         raise NotApplicableError("the complement of the observed subgraph is connected")
-    comps = connected_components(comp_s)
-    all_complete = complete_subsets(g_s, 1)
-    to_model = dict(enumerate(node_map))
+    comps = [_mask_of(c) for c in connected_components(comp_s)]
+    all_complete = _complete_masks(g_s)
     equations: list[SingularEquation] = []
     for comp_a, comp_b in product(comps, comps):
         if comp_a == comp_b:
             continue
-        for i1 in (s for s in all_complete if s <= comp_a):
-            for i2 in (s for s in all_complete if s <= comp_b):
+        for i1 in (s for s in all_complete if not s & ~comp_a):
+            base_set = frozenset(node_map[v] for v in _bits(i1))
+            for i2 in (s for s in all_complete if not s & ~comp_b):
                 union = i1 | i2
-                for s_prime in (s for s in all_complete if i1 < s <= union):
-                    inner = [
-                        frozenset(t)
-                        for r in range(1, len(s_prime) + 1)
-                        for t in combinations(sorted(s_prime), r)
-                        if not frozenset(t) <= i1
-                    ]
-                    source = EquationSource(
-                        kind="disconnection",
-                        base_set=frozenset(to_model[v] for v in i1),
-                        other_set=frozenset(to_model[v] for v in s_prime),
-                    )
-                    model_subsets = [
-                        frozenset(to_model[v] for v in t) for t in inner
-                    ]
-                    designated = frozenset(to_model[v] for v in s_prime)
-                    equations.extend(
-                        _expand_equation(m, model_subsets, designated, source)
-                    )
+                for s_prime in (
+                    s for s in all_complete if s != i1 and s & i1 == i1 and not s & ~union
+                ):
+                    other_set = frozenset(node_map[v] for v in _bits(s_prime))
+                    source = EquationSource("disconnection", base_set, other_set)
+                    inner = [t for t in _subsets(s_prime) if t & ~i1]
+                    equations.extend(_expand_equation(m, node_map, inner, s_prime, source))
     return _dedup(equations)
 
 
@@ -220,8 +207,7 @@ def full_system(m: LatentModel) -> SingularSystem:
     clique of size >= 3 but some clique of the observed subgraph has no
     generalized identifying sequence; raises NotApplicableError otherwise.
     """
-    g_s, node_map, _ = _observed_context(m)
-    comp_s = complement(g_s)
+    g_s, node_map, comp_s = _observed_context(m)
     if not any(len(c) >= 3 for c in maximal_cliques(comp_s)):
         raise NotApplicableError(
             "no 3-clique in the complement; the singular set is probed numerically only"
@@ -229,13 +215,9 @@ def full_system(m: LatentModel) -> SingularSystem:
     gen_ok = _generalized_ok(g_s)
     if all(_mask_of(c) in gen_ok for c in maximal_cliques(g_s) if len(c) > 1):
         raise NotApplicableError("every clique has a generalized identifying sequence")
-    plain_ok = _plain_ok(g_s)
-    to_model = dict(enumerate(node_map))
     equations: list[SingularEquation] = []
-    for c in _complete_masks(g_s):
-        if c.bit_count() > 1 and c not in plain_ok:
-            i0 = frozenset(to_model[v] for v in _bits(c))
-            equations.extend(locus_equations_for_set(m, i0))
+    for c_mask in _failing_masks(g_s):
+        equations.extend(_boundary_equations(m, g_s, node_map, comp_s, c_mask))
     return SingularSystem(equations=tuple(_dedup(equations)))
 
 

@@ -222,6 +222,17 @@ def test_python_dash_m_entry_point():
     assert json.loads(proc.stdout)["verdict"]["status"] == "identified_everywhere"
 
 
+def test_import_does_not_load_argparse():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import latident, sys; assert 'argparse' not in sys.modules"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_reports_are_byte_identical(capsys):
     _, first, _ = run_cli(
         capsys, "verify", model_path("k4_pendants"), "--trials", "10", "--seed", "7"
@@ -283,6 +294,24 @@ def test_rank_command_rejects_wrong_dimension(tmp_path, capsys):
     code, _, err = run_cli(capsys, "rank", model_path("path5"), "--beta", str(beta_file))
     assert code == 1
     assert "expected" in err
+
+
+def test_rank_command_rejects_non_numeric_beta(tmp_path, capsys):
+    beta_file = tmp_path / "beta.txt"
+    beta_file.write_text("abc 1 2")
+    code, out, err = run_cli(capsys, "rank", model_path("path5"), "--beta", str(beta_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'abc'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_rejects_non_positive_trials(capsys, trials):
+    code, out, err = run_cli(capsys, "verify", model_path("path5"), "--trials", trials)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --trials must be >= 1\n"
 
 
 def test_locus_prints_equations_only(capsys):

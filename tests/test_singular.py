@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -240,3 +242,46 @@ def test_t1_extension_keeps_s_restricted_system(triangle_pendants):
     idx = build_param_index(m)
     assert generic_rank(m, trials=20, seed=0).rank == idx.p == 30
     assert rank_on_system(m, verdict.singular_system, trials=20, seed=0).rank == 29
+
+
+# sha256 over each equation's text, designated name and source, for every
+# system; pinned from the implementation that sorted each equation's terms.
+SYSTEM_DIGESTS = {
+    "path5": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "path3_isolated": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "triangle_isolated": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "triangle_pendants": (3, "0cd46667d05e88e64400532c71a6e4af8bfe1fb51cc96a941f4228d96a45011b"),
+    "k4_pendants": (9, "e003417aa74ce350888a527a6817cfa3830a7bea04af86bd3493a6406bb253b6"),
+    "clique_web9": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "dense8": (271, "aca7720bd3e4bce6f787b9e8d9c026203a629ef1a1fb38c3989dbbdfbcee50b6"),
+    "dense9": (549, "9eb1b0b23149b072f412f820c3bd3e0ed6587f72d686afc2210080242cb9786f"),
+    "dense10": (1105, "0276eeafa7d3d34c753373866edda4b66dd53ed305ea07a889020dd268f53455"),
+    "pendants_2_3lev": (4, "d9b61b7bfe3a464aa26cb3ba3365add29462e4676d40d199ff0deb8ec1688bc0"),
+    "pendants_5_3lev": (4, "240488a4e80d117433de8500a72411de75dbdad82b0d1029d10db0cc0eda2060"),
+}
+
+
+def _digest_model(name):
+    if name.startswith("dense"):
+        return dense_model(int(name[5:]))
+    if name.startswith("pendants_"):
+        levels = [2] * 7
+        levels[int(name.split("_")[1])] = 3
+        return LatentModel(load_model("triangle_pendants").graph, tuple(levels))
+    return load_model(name)
+
+
+@pytest.mark.parametrize("name", list(SYSTEM_DIGESTS))
+def test_singular_system_matches_pinned_digest(name):
+    system = classify(_digest_model(name)).singular_system
+    equations = system.equations if system is not None else ()
+    h = hashlib.sha256()
+    for eq in equations:
+        keys = [t.sort_key() for t in eq.terms]
+        assert keys == sorted(keys)
+        src = eq.source
+        h.update(
+            f"{eq.render()}|{eq.designated.name}|{src.kind}|"
+            f"{sorted(src.base_set)}|{sorted(src.other_set)}\n".encode()
+        )
+    assert (len(equations), h.hexdigest()) == SYSTEM_DIGESTS[name]
