@@ -200,9 +200,17 @@ def cmd_classify(path: str) -> int:
     return _STATUS_EXIT[verdict.status]
 
 
+def _check_seed_tol(seed: int, tol: float | None) -> None:
+    if seed < 0:
+        raise ValidationError("--seed must be >= 0")
+    if tol is not None and not 0 < tol < np.inf:
+        raise ValidationError("--tol must be finite and > 0")
+
+
 def cmd_verify(path: str, trials: int, seed: int, tol: float | None) -> int:
     if trials < 1:
         raise ValidationError("--trials must be >= 1")
+    _check_seed_tol(seed, tol)
     m = parse_model(path)
     verdict = classify(m)
     idx = build_param_index(m)
@@ -267,6 +275,7 @@ def _load_beta(path: str, idx: ParamIndex) -> np.ndarray:
 
 
 def cmd_rank(path: str, beta_path: str | None, seed: int, tol: float | None) -> int:
+    _check_seed_tol(seed, tol)
     m = parse_model(path)
     idx = build_param_index(m)
     if beta_path is not None:

@@ -36,6 +36,16 @@ def _set_of(mask: int) -> NodeSet:
     return frozenset(_bits(mask))
 
 
+def _neighborhood(adj: tuple[int, ...], mask: int) -> int:
+    """OR of the adjacency masks over the nodes of mask: N(mask)."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph; edges stored once as (i, j) with i < j."""
@@ -175,10 +185,7 @@ def connected_components(g: Graph) -> list[NodeSet]:
         comp = unseen & -unseen
         frontier = comp
         while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & unseen & ~comp
+            frontier = _neighborhood(adj, frontier) & unseen & ~comp
             comp |= frontier
         comps.append(comp)
         unseen &= ~comp
@@ -195,7 +202,4 @@ def boundary_in(g: Graph, s: Iterable[int]) -> NodeSet:
     s_mask = _mask_of(s)
     if s_mask >> g.node_count:
         raise ValueError("boundary set contains out-of-range nodes")
-    reach = 0
-    for v in _bits(s_mask):
-        reach |= g.adjacency_masks[v]
-    return _set_of(reach & ~s_mask)
+    return _set_of(_neighborhood(g.adjacency_masks, s_mask) & ~s_mask)

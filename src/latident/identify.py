@@ -3,9 +3,12 @@
 Decides, from graph topology alone, whether the parametrization of a model with
 one binary hidden node has full-rank Jacobian everywhere, almost everywhere, or
 nowhere.  The workhorse notions are identifying sequences: chains of complete
-subgraphs linked step-wise through complement edges.  Searches run as BFS over
-the meta-graph of complete subsets with memoized reachability, so repeated
-queries against the same graph are cheap.
+subgraphs linked step-wise through complement edges.  A step from I to J needs
+every node of I to have a complement neighbour in J; the complement is
+symmetric, so that is the one mask test I <= N(J), with N(J) the OR of the
+complement adjacency masks over J.  Searches run as BFS over the meta-graph of
+complete subsets with memoized reachability, so repeated queries against the
+same graph are cheap.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import LatentIsolatedError, ValidationError
 from .graph import (
@@ -23,6 +26,7 @@ from .graph import (
     _bits,
     _complete_masks,
     _mask_of,
+    _neighborhood,
     _set_of,
     complement,
     connected_components,
@@ -68,12 +72,13 @@ class SequenceCert:
         node_map[local_id] = cert_id to translate back.
         """
         if node_map is None:
-            chain = self.chain
-            target = self.target
-        else:
-            inv = {orig: local for local, orig in enumerate(node_map)}
-            chain = tuple(frozenset(inv[v] for v in s) for s in self.chain)
-            target = frozenset(inv[v] for v in self.target)
+            node_map = range(g.node_count)
+        inv = {orig: local for local, orig in enumerate(node_map)}
+        unknown = set(self.target).union(*self.chain) - inv.keys()
+        if unknown:
+            raise ValidationError(f"node {min(unknown)} is not a node of the graph")
+        chain = tuple(frozenset(inv[v] for v in s) for s in self.chain)
+        target = frozenset(inv[v] for v in self.target)
         if not chain or chain[0] != target:
             raise ValidationError("chain must start at the target set")
         comp_adj = complement(g).adjacency_masks
@@ -157,17 +162,6 @@ def latent_partition(m: LatentModel) -> tuple[NodeSet, NodeSet]:
     return s, t1
 
 
-def _covers(comp_adj: tuple[int, ...], i_mask: int, j_mask: int) -> bool:
-    """True when every node of i_mask has a complement neighbor inside j_mask."""
-    m = i_mask
-    while m:
-        low = m & -m
-        if not comp_adj[low.bit_length() - 1] & j_mask:
-            return False
-        m ^= low
-    return True
-
-
 @lru_cache(maxsize=4096)
 def _generalized_ok(g: Graph) -> frozenset[int]:
     """Complete sets from which some non-increasing chain reaches a singleton."""
@@ -178,8 +172,9 @@ def _generalized_ok(g: Graph) -> frozenset[int]:
     while work:
         j = work.pop()
         nj = j.bit_count()
+        n_j = _neighborhood(comp_adj, j)
         for i in sets_:
-            if i not in ok and i.bit_count() >= nj and _covers(comp_adj, i, j):
+            if i not in ok and i.bit_count() >= nj and not i & ~n_j:
                 ok.add(i)
                 work.append(i)
     return frozenset(ok)
@@ -193,18 +188,18 @@ def _plain_ok(g: Graph) -> frozenset[int]:
     ok: set[int] = set()
     max_k = max((m.bit_count() for m in sets_), default=0)
     for k in range(2, max_k + 1):
-        smaller = [m for m in sets_ if m.bit_count() < k]
+        n_smaller = {_neighborhood(comp_adj, m) for m in sets_ if m.bit_count() < k}
         same = [m for m in sets_ if m.bit_count() == k]
         layer: set[int] = set()
         work: list[int] = []
         for i in same:
-            if any(_covers(comp_adj, i, j) for j in smaller):
+            if any(not i & ~n_j for n_j in n_smaller):
                 layer.add(i)
                 work.append(i)
         while work:
-            j = work.pop()
+            n_j = _neighborhood(comp_adj, work.pop())
             for i in same:
-                if i not in layer and _covers(comp_adj, i, j):
+                if i not in layer and not i & ~n_j:
                     layer.add(i)
                     work.append(i)
         ok |= layer
@@ -221,37 +216,9 @@ def _failing_masks(g: Graph) -> list[int]:
 def find_generalized_sequence(g_s: Graph, c0: NodeSet) -> SequenceCert | None:
     """Shortest generalized identifying sequence for the complete set c0, or None.
 
-    BFS over complete subsets of size <= |c0|; successor candidates are tried
-    in canonical (size, lexicographic) order, so ties resolve deterministically.
+    The chain ends at the first singleton the search reaches.
     """
-    c0 = frozenset(c0)
-    if len(c0) <= 1:
-        raise ValueError("the target set must have more than one node")
-    if not g_s.is_complete_set(c0):
-        raise ValueError(f"{sorted(c0)} is not complete")
-    start = _mask_of(c0)
-    if start not in _generalized_ok(g_s):
-        return None
-    comp_adj = complement(g_s).adjacency_masks
-    states = [m for m in _complete_masks(g_s) if m.bit_count() <= len(c0)]
-    parent: dict[int, int | None] = {start: None}
-    queue: deque[int] = deque([start])
-    while queue:
-        cur = queue.popleft()
-        if cur.bit_count() == 1:
-            chain = []
-            node: int | None = cur
-            while node is not None:
-                chain.append(_set_of(node))
-                node = parent[node]
-            chain.reverse()
-            return SequenceCert(target=c0, chain=tuple(chain), kind="generalized")
-        cur_size = cur.bit_count()
-        for j in states:
-            if j not in parent and j.bit_count() <= cur_size and _covers(comp_adj, cur, j):
-                parent[j] = cur
-                queue.append(j)
-    return None
+    return _shortest_chain(g_s, frozenset(c0), _generalized_ok, 1, "generalized")
 
 
 def find_identifying_sequence(g_s: Graph, i0: NodeSet) -> SequenceCert | None:
@@ -261,96 +228,45 @@ def find_identifying_sequence(g_s: Graph, i0: NodeSet) -> SequenceCert | None:
     first (canonical-order) complete set of smaller size reachable in one step.
     """
     i0 = frozenset(i0)
-    k = len(i0)
-    if k < 2:
+    return _shortest_chain(g_s, i0, _plain_ok, len(i0) - 1, "plain")
+
+
+def _shortest_chain(
+    g_s: Graph, target: NodeSet, reach: Callable[[Graph], frozenset[int]], end_size: int, kind: str
+) -> SequenceCert | None:
+    """BFS from the complete set `target` over complete subsets no larger than
+    the current one, a step I -> J needing I <= N(J); the chain ends at the first
+    set of at most end_size nodes.  Returns None when target is not in
+    reach(g_s).  Successor candidates are tried in canonical (size,
+    lexicographic) order, so ties resolve deterministically.
+    """
+    if len(target) < 2:
         raise ValueError("the target set must have at least two nodes")
-    if not g_s.is_complete_set(i0):
-        raise ValueError(f"{sorted(i0)} is not complete")
-    start = _mask_of(i0)
-    if start not in _plain_ok(g_s):
+    if not g_s.is_complete_set(target):
+        raise ValueError(f"{sorted(target)} is not complete")
+    start = _mask_of(target)
+    if start not in reach(g_s):
         return None
     comp_adj = complement(g_s).adjacency_masks
-    sets_ = _complete_masks(g_s)
-    smaller = [m for m in sets_ if m.bit_count() < k]
-    same = [m for m in sets_ if m.bit_count() == k]
+    k = len(target)
+    states = [(j, _neighborhood(comp_adj, j)) for j in _complete_masks(g_s) if j.bit_count() <= k]
     parent: dict[int, int | None] = {start: None}
     queue: deque[int] = deque([start])
     while queue:
         cur = queue.popleft()
-        for j in smaller:
-            if _covers(comp_adj, cur, j):
-                chain = [_set_of(j)]
-                node: int | None = cur
-                while node is not None:
-                    chain.append(_set_of(node))
-                    node = parent[node]
-                chain.reverse()
-                return SequenceCert(target=i0, chain=tuple(chain), kind="plain")
-        for j in same:
-            if j not in parent and _covers(comp_adj, cur, j):
+        cur_size = cur.bit_count()
+        if cur_size <= end_size:
+            chain = []
+            node: int | None = cur
+            while node is not None:
+                chain.append(_set_of(node))
+                node = parent[node]
+            return SequenceCert(target=target, chain=tuple(reversed(chain)), kind=kind)
+        for j, n_j in states:
+            if j not in parent and j.bit_count() <= cur_size and not cur & ~n_j:
                 parent[j] = cur
                 queue.append(j)
     return None
-
-
-def anchored_ordering(g_comp: Graph, c: NodeSet) -> list[int] | None:
-    """Order all nodes starting with c, appending shortest-path groups.
-
-    Works in the complement graph g_comp.  Every node outside c is placed after
-    some neighbor of its shortest path toward c, so each placed node has a
-    g_comp-neighbor earlier in the ordering (the pairing that makes the
-    row-reordered Jacobian block triangular).  Returns None when some node has
-    no path to c.
-
-    Ties: among farthest unordered nodes pick the lowest id; shortest paths
-    prefer the lowest-id predecessor at every hop.
-    """
-    c = frozenset(c)
-    if not c:
-        raise ValueError("c must be nonempty")
-    for v in c:
-        if not 0 <= v < g_comp.node_count:
-            raise ValueError(f"node {v} out of range")
-    n = g_comp.node_count
-    dist: dict[int, int] = {v: 0 for v in c}
-    parent: dict[int, int] = {}
-    frontier = sorted(c)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in sorted(_bits(g_comp.adjacency_masks[u])):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        frontier = sorted(set(nxt))
-    # lowest-id predecessor at each hop makes path reconstruction deterministic
-    for v in range(n):
-        if v in dist and dist[v] > 0:
-            parent[v] = min(
-                w for w in _bits(g_comp.adjacency_masks[v]) if dist.get(w) == dist[v] - 1
-            )
-    outside = [v for v in range(n) if v not in c]
-    if any(v not in dist for v in outside):
-        return None
-    ordering = sorted(c)
-    unordered = set(outside)
-    while unordered:
-        far = max(dist[v] for v in unordered)
-        a = min(v for v in unordered if dist[v] == far)
-        path = [a]
-        while path[-1] not in c:
-            path.append(parent[path[-1]])
-        path.reverse()  # runs from c out to a
-        cut = max(i for i, v in enumerate(path) if v not in unordered)
-        b = path[cut]
-        group = path[cut + 1 :]
-        if b in c:
-            ordering.extend(group)
-        else:
-            at = ordering.index(b)
-            ordering[at + 1 : at + 1] = group
-        unordered.difference_update(group)
-    return ordering
 
 
 def latent_class_check(n: int) -> bool:
@@ -373,14 +289,13 @@ def classify(m: LatentModel) -> Verdict:
     """
     s_nodes, t1_nodes = latent_partition(m)
     g_s, node_map = induced_subgraph(m.graph, sorted(s_nodes))
+    comp_s = complement(g_s)
     to_model = dict(enumerate(node_map))
 
     def in_model(local: Iterable[int]) -> NodeSet:
         return frozenset(to_model[v] for v in local)
 
-    m_clique = next(
-        (in_model(cl) for cl in maximal_cliques(complement(g_s)) if len(cl) >= 3), None
-    )
+    m_clique = next((in_model(cl) for cl in maximal_cliques(comp_s) if len(cl) >= 3), None)
     clique_certs: list[tuple[NodeSet, SequenceCert | None]] = []
     failing_sets: list[NodeSet] = []
     system = None
@@ -396,11 +311,12 @@ def classify(m: LatentModel) -> Verdict:
                 clique_certs.append((in_model(cl), cert.relabeled(to_model) if cert else None))
         status = Status.IDENTIFIED_EVERYWHERE
         if any(cert is None for _, cert in clique_certs):
-            from .singular import full_system
+            from .singular import _singular_system
 
             status = Status.GENERICALLY_IDENTIFIED
-            failing_sets = [in_model(_bits(c)) for c in _failing_masks(g_s)]
-            system = full_system(m)
+            failing = _failing_masks(g_s)
+            failing_sets = [in_model(_bits(c)) for c in failing]
+            system = _singular_system(m, g_s, node_map, comp_s, failing)
     return Verdict(
         status=status,
         s_nodes=s_nodes,

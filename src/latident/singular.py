@@ -8,10 +8,13 @@ sum of hidden-node interaction coordinates set to zero, with one coordinate
 designated so points on the subspace can be sampled by solving for the
 designated coordinates.
 
-Each system comes from one observed context per model (G_S, the subgraph on
-the hidden node's neighbours, and its complement), built once and handed to one
-boundary generator per failing set; node sets stay bitmasks until equations are
-emitted, and each system is deduplicated and sorted once.
+A model's system is built from the observed context that `classify` already
+holds (G_S, the subgraph on the hidden node's neighbours, its complement and the
+failing sets); `full_system` reads it off the verdict.  The boundary equation of
+V0 is fixed by the int pair (V0, anchored), so equations are deduplicated on
+that pair, first failing set kept as source, before they are expanded per level
+combination; node sets stay bitmasks until then, and each system is sorted
+once.
 """
 
 from __future__ import annotations
@@ -28,14 +31,13 @@ from .graph import (
     _bits,
     _complete_masks,
     _mask_of,
-    boundary_in,
+    _neighborhood,
     complement,
     connected_components,
     induced_subgraph,
     is_connected,
-    maximal_cliques,
 )
-from .identify import _failing_masks, _generalized_ok, _plain_ok, latent_partition
+from .identify import _plain_ok, classify, latent_partition
 from .loglinear import LATENT, LatentModel, ParamEntry, ParamIndex
 
 
@@ -116,25 +118,6 @@ def _expand_equation(
     return out
 
 
-def _boundary_equations(
-    m: LatentModel, g_s: Graph, node_map: tuple[int, ...], comp_s: Graph, c_mask: int
-) -> list[SingularEquation]:
-    """Unsorted boundary equations of the failing set c_mask (local ids of G_S)."""
-    c_nodes = _bits(c_mask)
-    bd_mask = _mask_of(boundary_in(comp_s, c_nodes))
-    adj = g_s.adjacency_masks
-    base_set = frozenset(node_map[v] for v in c_nodes)
-    equations: list[SingularEquation] = []
-    for v0 in _complete_masks(g_s):
-        if v0 & ~bd_mask:
-            continue
-        anchored = sum(1 << i for i in c_nodes if adj[i] & v0 == v0)
-        source = EquationSource("boundary", base_set, frozenset(node_map[v] for v in _bits(v0)))
-        terms = [v0 | extra for extra in _subsets(anchored)]
-        equations.extend(_expand_equation(m, node_map, terms, v0, source))
-    return equations
-
-
 def locus_equations_for_set(m: LatentModel, i0: NodeSet) -> list[SingularEquation]:
     """Boundary equations for a complete set i0 with no plain identifying sequence.
 
@@ -155,7 +138,7 @@ def locus_equations_for_set(m: LatentModel, i0: NodeSet) -> list[SingularEquatio
         raise NotApplicableError(
             f"{sorted(i0)} has an identifying sequence; no locus equations apply"
         )
-    return _dedup(_boundary_equations(m, g_s, node_map, comp_s, c_mask))
+    return list(_singular_system(m, g_s, node_map, comp_s, [c_mask]).equations)
 
 
 def disconnection_equations(m: LatentModel) -> list[SingularEquation]:
@@ -200,25 +183,50 @@ def _dedup(equations: list[SingularEquation]) -> list[SingularEquation]:
     )
 
 
+def _singular_system(
+    m: LatentModel, g_s: Graph, node_map: tuple[int, ...], comp_s: Graph, failing: list[int]
+) -> SingularSystem:
+    """Boundary equations of the failing sets (bitmasks of G_S's local ids).
+
+    A failing set C has one equation per complete subset V0 of its complement
+    boundary, with terms {V0 | I : I <= anchored}, where anchored holds the nodes
+    of C adjacent in G_S to all of V0.  The pair (V0, anchored) fixes the terms
+    and the terms fix the pair (V0 is the smallest term), so each distinct pair
+    is expanded once, with the first failing set that yields it as the source.
+    """
+    adj = g_s.adjacency_masks
+    first: dict[tuple[int, int], NodeSet] = {}
+    for c_mask in failing:
+        c_nodes = _bits(c_mask)
+        base_set = frozenset(node_map[v] for v in c_nodes)
+        bd_mask = _neighborhood(comp_s.adjacency_masks, c_mask) & ~c_mask
+        for v0 in _complete_masks(g_s):
+            if not v0 & ~bd_mask:
+                anchored = sum(1 << i for i in c_nodes if adj[i] & v0 == v0)
+                first.setdefault((v0, anchored), base_set)
+    equations: list[SingularEquation] = []
+    for (v0, anchored), base_set in first.items():
+        source = EquationSource("boundary", base_set, frozenset(node_map[v] for v in _bits(v0)))
+        terms = [v0 | extra for extra in _subsets(anchored)]
+        equations.extend(_expand_equation(m, node_map, terms, v0, source))
+    return SingularSystem(equations=tuple(_dedup(equations)))
+
+
 def full_system(m: LatentModel) -> SingularSystem:
-    """Union of boundary equations over every complete set lacking a sequence.
+    """The singular system that classify attaches to the model.
 
     Applies to models where the complement of the observed subgraph has a
     clique of size >= 3 but some clique of the observed subgraph has no
     generalized identifying sequence; raises NotApplicableError otherwise.
     """
-    g_s, node_map, comp_s = _observed_context(m)
-    if not any(len(c) >= 3 for c in maximal_cliques(comp_s)):
+    verdict = classify(m)
+    if verdict.singular_system is not None:
+        return verdict.singular_system
+    if verdict.m_clique is None:
         raise NotApplicableError(
             "no 3-clique in the complement; the singular set is probed numerically only"
         )
-    gen_ok = _generalized_ok(g_s)
-    if all(_mask_of(c) in gen_ok for c in maximal_cliques(g_s) if len(c) > 1):
-        raise NotApplicableError("every clique has a generalized identifying sequence")
-    equations: list[SingularEquation] = []
-    for c_mask in _failing_masks(g_s):
-        equations.extend(_boundary_equations(m, g_s, node_map, comp_s, c_mask))
-    return SingularSystem(equations=tuple(_dedup(equations)))
+    raise NotApplicableError("every clique has a generalized identifying sequence")
 
 
 def sample_on_subspace(sys: SingularSystem, idx: ParamIndex, seed) -> np.ndarray:

@@ -314,6 +314,25 @@ def test_verify_rejects_non_positive_trials(capsys, trials):
     assert err == "error: --trials must be >= 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [("verify", "--trials", "3", "--seed", "-3"), ("rank", "--seed", "-1")]
+)
+def test_negative_seed_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], model_path("path5"), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err == "error: --seed must be >= 0\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command", ["verify", "rank"])
+def test_bad_tol_rejected(capsys, command, tol):
+    code, out, err = run_cli(capsys, command, model_path("path5"), "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --tol must be finite and > 0\n"
+
+
 def test_locus_prints_equations_only(capsys):
     code, out, err = run_cli(capsys, "locus", model_path("triangle_pendants"))
     assert code == 0

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -10,7 +11,7 @@ from latident import (
     LatentModel,
     SequenceCert,
     Status,
-    anchored_ordering,
+    ValidationError,
     classify,
     complement,
     find_generalized_sequence,
@@ -22,8 +23,8 @@ from latident import (
     maximal_cliques,
     complete_subsets,
 )
-from latident.graph import _mask_of
-from latident.identify import _complete_masks, _generalized_ok, _plain_ok
+from latident.graph import _bits, _mask_of
+from latident.identify import _complete_masks, _failing_masks, _generalized_ok, _plain_ok
 
 from conftest import dense_model, load_model, star_model
 
@@ -143,59 +144,14 @@ def test_sequence_cert_validate_rejects_broken_chains():
     assert not bad.is_valid(g)
 
 
-# ---------------------------------------------------------------- ordering
-
-
-def test_anchored_ordering_on_path_complement():
+def test_sequence_cert_validate_rejects_unknown_node():
     g, node_map = observed_graph("path5")
-    comp = complement(g)
-    order = anchored_ordering(comp, frozenset({0, 2, 4}))  # {1,3,5}
-    assert order is not None
-    assert [node_map[v] for v in order[:3]] == [1, 3, 5]
-    assert sorted(node_map[v] for v in order) == [1, 2, 3, 4, 5]
-    placed = order[:3]
-    for v in order[3:]:
-        assert any(comp.has_edge(v, u) for u in placed)
-        placed.append(v)
-
-
-def test_anchored_ordering_whole_node_set_is_identity():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert anchored_ordering(g, frozenset(range(4))) == [0, 1, 2, 3]
-
-
-def test_anchored_ordering_unreachable_node():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert anchored_ordering(g, frozenset({0})) is None
-
-
-def test_anchored_ordering_pairing_property_random():
-    rng = random.Random(5)
-    for _ in range(120):
-        n = rng.randint(2, 8)
-        edges = [
-            (i, j) for i, j in combinations(range(n), 2) if rng.random() < 0.45
-        ]
-        g = Graph.from_edges(n, edges)
-        c = frozenset(rng.sample(range(n), rng.randint(1, n)))
-        order = anchored_ordering(g, c)
-        reachable = set(c)
-        changed = True
-        while changed:
-            changed = False
-            for v in range(n):
-                if v not in reachable and reachable & g.neighbors(v):
-                    reachable.add(v)
-                    changed = True
-        if reachable != set(range(n)):
-            assert order is None
-            continue
-        assert order is not None
-        assert order[: len(c)] == sorted(c)
-        assert sorted(order) == list(range(n))
-        for pos, v in enumerate(order):
-            if v not in c:
-                assert g.neighbors(v) & set(order[:pos])
+    cert = SequenceCert(
+        target=frozenset({1, 7}), chain=(frozenset({1, 7}), frozenset({7})), kind="generalized"
+    )
+    with pytest.raises(ValidationError, match="node 7"):
+        cert.validate(g, (0, 1, 2))
+    assert not cert.is_valid(g, node_map)
 
 
 # ---------------------------------------------------------------- classify
@@ -272,6 +228,28 @@ def test_classify_enumerates_complete_subsets_once(monkeypatch):
     assert calls == []
 
 
+def test_classify_builds_the_observed_context_once(monkeypatch):
+    # the singular system reuses classify's G_S, complement and failing sets
+    counts = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for original in (induced_subgraph, maximal_cliques, _failing_masks):
+        name = original.__name__
+        wrapper = counted(name, original)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("latident") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    verdict = classify(dense_model(10))
+    assert verdict.singular_system is not None
+    assert counts == {"induced_subgraph": 1, "maximal_cliques": 2, "_failing_masks": 1}
+
+
 def test_classify_covers_every_shape_hidden_adjacent_to_all():
     # every labelled graph on k = 1..5 observed nodes, hidden node adjacent to all
     seen = 0
@@ -344,3 +322,61 @@ def test_existence_sets_agree_with_search():
                 cert.validate(g)
             if gcert is not None:
                 gcert.validate(g)
+
+
+# Reference reachability: the fixpoints with the cover test done node by node,
+# every node of i needing a complement neighbour inside j.
+
+
+def _covers_per_bit(comp_adj, i, j):
+    return all(comp_adj[v] & j for v in _bits(i))
+
+
+def _generalized_ok_reference(g):
+    comp_adj = complement(g).adjacency_masks
+    sets_ = _complete_masks(g)
+    ok = {m for m in sets_ if m.bit_count() == 1}
+    work = list(ok)
+    while work:
+        j = work.pop()
+        for i in sets_:
+            if i not in ok and i.bit_count() >= j.bit_count() and _covers_per_bit(comp_adj, i, j):
+                ok.add(i)
+                work.append(i)
+    return frozenset(ok)
+
+
+def _plain_ok_reference(g):
+    comp_adj = complement(g).adjacency_masks
+    sets_ = _complete_masks(g)
+    ok = set()
+    for k in range(2, max((m.bit_count() for m in sets_), default=0) + 1):
+        smaller = [m for m in sets_ if m.bit_count() < k]
+        same = [m for m in sets_ if m.bit_count() == k]
+        layer = {i for i in same if any(_covers_per_bit(comp_adj, i, j) for j in smaller)}
+        work = list(layer)
+        while work:
+            j = work.pop()
+            for i in same:
+                if i not in layer and _covers_per_bit(comp_adj, i, j):
+                    layer.add(i)
+                    work.append(i)
+        ok |= layer
+    return frozenset(ok)
+
+
+def test_reachability_matches_per_bit_cover_reference():
+    # every labelled graph on 1..5 nodes (the G_S of the 1,099 exhaustive
+    # models) plus the G_S of the dense models
+    graphs = []
+    for k in range(1, 6):
+        pairs = list(combinations(range(k), 2))
+        for bits in range(1 << len(pairs)):
+            graphs.append(Graph.from_edges(k, [pr for b, pr in enumerate(pairs) if bits >> b & 1]))
+    assert len(graphs) == 1099
+    for n in (8, 9, 10):
+        m = dense_model(n)
+        graphs.append(induced_subgraph(m.graph, sorted(latent_partition(m)[0]))[0])
+    for g in graphs:
+        assert _generalized_ok(g) == _generalized_ok_reference(g)
+        assert _plain_ok(g) == _plain_ok_reference(g)

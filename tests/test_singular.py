@@ -18,6 +18,7 @@ from latident import (
     rank_on_system,
     sample_on_subspace,
 )
+from latident import singular
 from latident.singular import EquationSource, SingularEquation
 from latident.loglinear import ParamEntry
 
@@ -85,6 +86,32 @@ def test_full_system_k4_pendants(k4_pendants):
 def test_full_system_not_applicable_when_identified(path5):
     with pytest.raises(NotApplicableError):
         full_system(path5)
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("path5", "every clique has a generalized identifying sequence"),
+        ("path3_isolated", "every clique has a generalized identifying sequence"),
+        ("triangle_isolated", "no 3-clique in the complement"),
+    ],
+)
+def test_full_system_not_applicable_names_the_failed_condition(name, message):
+    with pytest.raises(NotApplicableError, match=message):
+        full_system(load_model(name))
+
+
+def test_each_distinct_equation_is_expanded_once(monkeypatch):
+    calls = []
+    original = singular._expand_equation
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(singular, "_expand_equation", counted)
+    system = classify(dense_model(10)).singular_system
+    assert len(calls) == len(system.equations) == 1105
 
 
 def test_full_system_sources_are_failing_sets(k4_pendants):
