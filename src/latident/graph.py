@@ -195,11 +195,3 @@ def connected_components(g: Graph) -> list[NodeSet]:
 def is_connected(g: Graph) -> bool:
     """True when every pair of nodes is joined by a path; single nodes count."""
     return len(connected_components(g)) == 1
-
-
-def boundary_in(g: Graph, s: Iterable[int]) -> NodeSet:
-    """Nodes outside s adjacent in g to at least one node of s."""
-    s_mask = _mask_of(s)
-    if s_mask >> g.node_count:
-        raise ValueError("boundary set contains out-of-range nodes")
-    return _set_of(_neighborhood(g.adjacency_masks, s_mask) & ~s_mask)

@@ -6,9 +6,10 @@ nowhere.  The workhorse notions are identifying sequences: chains of complete
 subgraphs linked step-wise through complement edges.  A step from I to J needs
 every node of I to have a complement neighbour in J; the complement is
 symmetric, so that is the one mask test I <= N(J), with N(J) the OR of the
-complement adjacency masks over J.  Searches run as BFS over the meta-graph of
-complete subsets with memoized reachability, so repeated queries against the
-same graph are cheap.
+complement adjacency masks over J.  One memoized backward BFS over the
+meta-graph of complete subsets gives every set that reaches an end its fewest
+steps to one; a certificate is then walked forward off those step counts, so
+repeated queries against the same graph are cheap.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import LatentIsolatedError, ValidationError
@@ -162,48 +164,45 @@ def latent_partition(m: LatentModel) -> tuple[NodeSet, NodeSet]:
     return s, t1
 
 
-@lru_cache(maxsize=4096)
-def _generalized_ok(g: Graph) -> frozenset[int]:
-    """Complete sets from which some non-increasing chain reaches a singleton."""
-    comp_adj = complement(g).adjacency_masks
-    sets_ = _complete_masks(g)
-    ok = {m for m in sets_ if m.bit_count() == 1}
-    work = list(ok)
-    while work:
-        j = work.pop()
-        nj = j.bit_count()
-        n_j = _neighborhood(comp_adj, j)
-        for i in sets_:
-            if i not in ok and i.bit_count() >= nj and not i & ~n_j:
-                ok.add(i)
-                work.append(i)
-    return frozenset(ok)
+def _steps_to_end(
+    comp_adj: tuple[int, ...], pool: Sequence[int], steps: dict[int, int]
+) -> dict[int, int]:
+    """FIFO backward BFS from the seeds in `steps` (all at one step count):
+    give every set of pool that reaches a seed its fewest steps, a step I -> J
+    needing |I| >= |J| and I <= N(J)."""
+    queue = deque(steps)
+    while queue:
+        j = queue.popleft()
+        nj, n_j, d = j.bit_count(), _neighborhood(comp_adj, j), steps[j] + 1
+        for i in pool:
+            if i not in steps and i.bit_count() >= nj and not i & ~n_j:
+                steps[i] = d
+                queue.append(i)
+    return steps
 
 
 @lru_cache(maxsize=4096)
-def _plain_ok(g: Graph) -> frozenset[int]:
-    """Complete sets of size >= 2 admitting an equal-size-then-smaller chain."""
+def _generalized_ok(g: Graph) -> Mapping[int, int]:
+    """Complete sets from which some non-increasing chain reaches a singleton,
+    each mapped to the fewest steps to one (singletons at 0)."""
+    sets_ = _complete_masks(g)
+    seeds = {m: 0 for m in sets_ if m.bit_count() == 1}
+    return MappingProxyType(_steps_to_end(complement(g).adjacency_masks, sets_, seeds))
+
+
+@lru_cache(maxsize=4096)
+def _plain_ok(g: Graph) -> Mapping[int, int]:
+    """Complete sets of size >= 2 admitting an equal-size-then-smaller chain,
+    each mapped to the fewest steps to the first smaller set."""
     comp_adj = complement(g).adjacency_masks
     sets_ = _complete_masks(g)
-    ok: set[int] = set()
-    max_k = max((m.bit_count() for m in sets_), default=0)
-    for k in range(2, max_k + 1):
+    steps: dict[int, int] = {}
+    for k in range(2, max((m.bit_count() for m in sets_), default=0) + 1):
         n_smaller = {_neighborhood(comp_adj, m) for m in sets_ if m.bit_count() < k}
         same = [m for m in sets_ if m.bit_count() == k]
-        layer: set[int] = set()
-        work: list[int] = []
-        for i in same:
-            if any(not i & ~n_j for n_j in n_smaller):
-                layer.add(i)
-                work.append(i)
-        while work:
-            n_j = _neighborhood(comp_adj, work.pop())
-            for i in same:
-                if i not in layer and not i & ~n_j:
-                    layer.add(i)
-                    work.append(i)
-        ok |= layer
-    return frozenset(ok)
+        seeds = {i: 1 for i in same if any(not i & ~n_j for n_j in n_smaller)}
+        steps |= _steps_to_end(comp_adj, same, seeds)
+    return MappingProxyType(steps)
 
 
 def _failing_masks(g: Graph) -> list[int]:
@@ -216,7 +215,8 @@ def _failing_masks(g: Graph) -> list[int]:
 def find_generalized_sequence(g_s: Graph, c0: NodeSet) -> SequenceCert | None:
     """Shortest generalized identifying sequence for the complete set c0, or None.
 
-    The chain ends at the first singleton the search reaches.
+    Of the shortest chains, the first in canonical (size, lexicographic) order
+    of its elements, walked off the step counts of `_generalized_ok`.
     """
     return _shortest_chain(g_s, frozenset(c0), _generalized_ok, 1, "generalized")
 
@@ -224,49 +224,44 @@ def find_generalized_sequence(g_s: Graph, c0: NodeSet) -> SequenceCert | None:
 def find_identifying_sequence(g_s: Graph, i0: NodeSet) -> SequenceCert | None:
     """Shortest plain identifying sequence for the complete set i0, or None.
 
-    Elements before the last keep the target's size; the chain ends at the
-    first (canonical-order) complete set of smaller size reachable in one step.
+    Elements before the last keep the target's size and the last is smaller;
+    of the shortest chains, the first in canonical (size, lexicographic) order
+    of its elements, walked off the step counts of `_plain_ok`.
     """
     i0 = frozenset(i0)
     return _shortest_chain(g_s, i0, _plain_ok, len(i0) - 1, "plain")
 
 
 def _shortest_chain(
-    g_s: Graph, target: NodeSet, reach: Callable[[Graph], frozenset[int]], end_size: int, kind: str
+    g_s: Graph, target: NodeSet, reach: Callable[[Graph], Mapping[int, int]],
+    end_size: int, kind: str,
 ) -> SequenceCert | None:
-    """BFS from the complete set `target` over complete subsets no larger than
-    the current one, a step I -> J needing I <= N(J); the chain ends at the first
-    set of at most end_size nodes.  Returns None when target is not in
-    reach(g_s).  Successor candidates are tried in canonical (size,
-    lexicographic) order, so ties resolve deterministically.
+    """Chain from the complete set `target` to a set of at most end_size nodes,
+    or None when target is not in reach(g_s).  Each step I -> J takes the first
+    complete J in canonical order with |J| <= |I|, I <= N(J) and one step fewer
+    to go (0 for a set of at most end_size nodes), which is the lexicographically
+    first shortest chain.
     """
     if len(target) < 2:
         raise ValueError("the target set must have at least two nodes")
     if not g_s.is_complete_set(target):
         raise ValueError(f"{sorted(target)} is not complete")
-    start = _mask_of(target)
-    if start not in reach(g_s):
+    steps = reach(g_s)
+    cur = _mask_of(target)
+    if cur not in steps:
         return None
     comp_adj = complement(g_s).adjacency_masks
-    k = len(target)
-    states = [(j, _neighborhood(comp_adj, j)) for j in _complete_masks(g_s) if j.bit_count() <= k]
-    parent: dict[int, int | None] = {start: None}
-    queue: deque[int] = deque([start])
-    while queue:
-        cur = queue.popleft()
-        cur_size = cur.bit_count()
-        if cur_size <= end_size:
-            chain = []
-            node: int | None = cur
-            while node is not None:
-                chain.append(_set_of(node))
-                node = parent[node]
-            return SequenceCert(target=target, chain=tuple(reversed(chain)), kind=kind)
-        for j, n_j in states:
-            if j not in parent and j.bit_count() <= cur_size and not cur & ~n_j:
-                parent[j] = cur
-                queue.append(j)
-    return None
+    chain = [target]
+    for left in reversed(range(steps[cur])):
+        cur = next(
+            j
+            for j in _complete_masks(g_s)
+            if j.bit_count() <= cur.bit_count()
+            and (0 if j.bit_count() <= end_size else steps.get(j)) == left
+            and not cur & ~_neighborhood(comp_adj, j)
+        )
+        chain.append(_set_of(cur))
+    return SequenceCert(target=target, chain=tuple(chain), kind=kind)
 
 
 def latent_class_check(n: int) -> bool:

@@ -18,7 +18,7 @@ from the stream keyed by (seed, t), so results do not depend on scheduling.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -106,8 +106,9 @@ def numeric_rank(mat: NDArray, tol: float | None = None) -> RankReport:
 
     Default tolerance is max(rows, cols) * machine epsilon * largest singular
     value.  The cut must show a relative gap of at least 1e3, otherwise the
-    report is flagged ambiguous.
+    report is flagged ambiguous.  An explicit tolerance must be finite and > 0.
     """
+    _check_tol(tol)
     mat = np.asarray(mat, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ValidationError("matrix has non-finite entries")
@@ -131,32 +132,28 @@ def numeric_rank(mat: NDArray, tol: float | None = None) -> RankReport:
     )
 
 
+def _check_tol(tol: float | None) -> None:
+    if tol is not None and not 0 < tol < np.inf:
+        raise ValueError("tol must be finite and > 0")
+
+
 def _trial_loop(
-    m: LatentModel, idx: ParamIndex | None, trials: int, tol: float | None, draw
+    m: LatentModel, idx: ParamIndex | None, trials: int, seed: int, tol: float | None, draw
 ) -> RankReport:
-    """Rank the Jacobian at `draw(idx, t)` for t < trials and aggregate."""
+    """Rank the Jacobian at `draw(idx, (seed, t))` for t < trials and aggregate."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    _check_tol(tol)
     if idx is None:
         idx = build_param_index(m)
-    reports = [numeric_rank(jacobian(m, idx, draw(idx, t)), tol=tol) for t in range(trials)]
+    reports = [numeric_rank(jacobian(m, idx, draw(idx, (seed, t))), tol=tol) for t in range(trials)]
     ranks = tuple(r.rank for r in reports)
-    best = max(ranks)
-    rep = next(r for r in reports if r.rank == best)
+    best = max(reports, key=lambda r: r.rank)  # the first trial reaching the top rank
     counts = Counter(ranks)
-    top = max(counts.values())
-    modal = min(r for r, c in counts.items() if c == top)
-    return RankReport(
-        rank=best,
-        singular_values=rep.singular_values,
-        tolerance_used=rep.tolerance_used,
-        p=rep.p,
-        gap=rep.gap,
-        ambiguous=rep.ambiguous,
-        trial_ranks=ranks,
-        modal_rank=modal,
-        unanimous=len(counts) == 1,
-    )
+    modal = min(counts, key=lambda r: (-counts[r], r))  # most frequent, ties to the lowest
+    return replace(best, trial_ranks=ranks, modal_rank=modal, unanimous=len(counts) == 1)
 
 
 def generic_rank(
@@ -172,7 +169,7 @@ def generic_rank(
     maximum over trials estimates the generic rank; the modal rank and any
     disagreement across trials are reported alongside.
     """
-    return _trial_loop(m, idx, trials, tol, lambda idx, t: sample_beta(idx.p, [seed, t]))
+    return _trial_loop(m, idx, trials, seed, tol, lambda idx, key: sample_beta(idx.p, key))
 
 
 def rank_on_system(
@@ -190,5 +187,5 @@ def rank_on_system(
     from .singular import sample_on_subspace
 
     return _trial_loop(
-        m, idx, trials, tol, lambda idx, t: sample_on_subspace(sys, idx, (seed, t))
+        m, idx, trials, seed, tol, lambda idx, key: sample_on_subspace(sys, idx, key)
     )

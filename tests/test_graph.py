@@ -5,7 +5,6 @@ import pytest
 
 from latident import (
     Graph,
-    boundary_in,
     complement,
     complete_subsets,
     connected_components,
@@ -166,32 +165,3 @@ def test_connected_components_order():
     g = Graph.from_edges(5, [(1, 3), (2, 4)])
     comps = connected_components(g)
     assert [sorted(c) for c in comps] == [[0], [1, 3], [2, 4]]
-
-
-def test_boundary_in_complement_of_triangle_pendants():
-    g = Graph.from_edges(6, [(0, 3), (0, 4), (0, 5), (1, 4), (2, 3), (3, 4)])
-    comp = complement(g)
-    bd = boundary_in(comp, {0, 3, 4})  # the triangle {1,4,5} in 1-based ids
-    assert {v + 1 for v in bd} == {2, 3, 6}
-
-
-def test_boundary_in_complement_of_k4_pendants():
-    g = Graph.from_edges(
-        6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (3, 5)]
-    )
-    comp = complement(g)
-    bd = boundary_in(comp, {0, 1, 2, 3})
-    assert {v + 1 for v in bd} == {5, 6}
-
-
-def test_boundary_of_everything_is_empty():
-    assert boundary_in(PATH5, range(5)) == frozenset()
-
-
-def test_boundary_disjoint_from_set():
-    rng = random.Random(4)
-    for _ in range(30):
-        g = random_graph(rng, rng.randint(1, 8))
-        k = rng.randint(1, g.node_count)
-        s = frozenset(rng.sample(range(g.node_count), k))
-        assert boundary_in(g, s) & s == frozenset()

@@ -1,6 +1,8 @@
+import hashlib
 import random
 import sys
 from collections import Counter
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -23,7 +25,7 @@ from latident import (
     maximal_cliques,
     complete_subsets,
 )
-from latident.graph import _bits, _mask_of
+from latident.graph import _bits, _mask_of, _set_of
 from latident.identify import _complete_masks, _failing_masks, _generalized_ok, _plain_ok
 
 from conftest import dense_model, load_model, star_model
@@ -365,7 +367,8 @@ def _plain_ok_reference(g):
     return frozenset(ok)
 
 
-def test_reachability_matches_per_bit_cover_reference():
+@cache
+def _exhaustive_and_dense_gs():
     # every labelled graph on 1..5 nodes (the G_S of the 1,099 exhaustive
     # models) plus the G_S of the dense models
     graphs = []
@@ -377,6 +380,42 @@ def test_reachability_matches_per_bit_cover_reference():
     for n in (8, 9, 10):
         m = dense_model(n)
         graphs.append(induced_subgraph(m.graph, sorted(latent_partition(m)[0]))[0])
-    for g in graphs:
-        assert _generalized_ok(g) == _generalized_ok_reference(g)
-        assert _plain_ok(g) == _plain_ok_reference(g)
+    return graphs
+
+
+def test_reachability_matches_per_bit_cover_reference():
+    for g in _exhaustive_and_dense_gs():
+        assert _generalized_ok(g).keys() == _generalized_ok_reference(g)
+        assert _plain_ok(g).keys() == _plain_ok_reference(g)
+
+
+SEARCHES = ((_generalized_ok, find_generalized_sequence), (_plain_ok, find_identifying_sequence))
+
+
+def test_sequence_certificates_match_pinned_digest():
+    # (target, chain, kind) or None from both searches for every complete set
+    # of size >= 2; the digest was taken from the breadth-first search with a
+    # parent map that the step-count walk replaced
+    h = hashlib.sha256()
+    for g in _exhaustive_and_dense_gs():
+        for c in _complete_masks(g):
+            if c.bit_count() < 2:
+                continue
+            for _, find in SEARCHES:
+                cert = find(g, _set_of(c))
+                if cert is not None:
+                    cert = (sorted(cert.target), [sorted(s) for s in cert.chain], cert.kind)
+                h.update(repr(cert).encode())
+    assert h.hexdigest() == "d6d7d9af81051eb646889bb280789a297c3b9c38d712ca76af247741397e0178"
+
+
+def test_sequence_certificates_take_the_cached_step_counts():
+    for g in _exhaustive_and_dense_gs():
+        for reach, find in SEARCHES:
+            steps = reach(g)
+            for c in _complete_masks(g):
+                if c.bit_count() > 1:
+                    cert = find(g, _set_of(c))
+                    assert (cert is None) == (c not in steps)
+                    if cert is not None:
+                        assert len(cert.chain) - 1 == steps[c]

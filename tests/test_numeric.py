@@ -118,6 +118,37 @@ def test_generic_rank_trials_validation(triangle_pendants):
         generic_rank(triangle_pendants, trials=0)
 
 
+BAD_TOLS = [float("nan"), float("inf"), 0.0, -1.0]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_numeric_rank_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        numeric_rank(np.eye(2), tol=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_generic_rank_rejects_bad_tolerance(path5, tol):
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        generic_rank(path5, trials=2, seed=0, tol=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_rank_on_system_rejects_bad_tolerance(path5, tol):
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        rank_on_system(path5, SingularSystem(()), trials=2, seed=0, tol=tol)
+
+
+def test_generic_rank_rejects_negative_seed(path5):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        generic_rank(path5, trials=2, seed=-1)
+
+
+def test_rank_on_system_rejects_negative_seed(path5):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        rank_on_system(path5, SingularSystem(()), trials=2, seed=-1)
+
+
 def test_latent_class_three_full_rank():
     m = star_model(3)
     idx = build_param_index(m)
