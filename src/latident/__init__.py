@@ -18,7 +18,6 @@ from .graph import (
     complete_subsets,
     connected_components,
     induced_subgraph,
-    is_connected,
     maximal_cliques,
 )
 from .identify import (
@@ -51,7 +50,6 @@ from .numeric import (
 from .singular import (
     SingularEquation,
     SingularSystem,
-    disconnection_equations,
     full_system,
     locus_equations_for_set,
     sample_on_subspace,
@@ -83,13 +81,11 @@ __all__ = [
     "complete_subsets",
     "connected_components",
     "design_matrix",
-    "disconnection_equations",
     "find_generalized_sequence",
     "find_identifying_sequence",
     "full_system",
     "generic_rank",
     "induced_subgraph",
-    "is_connected",
     "jacobian",
     "latent_class_check",
     "latent_partition",

@@ -62,7 +62,7 @@ def parse_model(source: str | IO[str]) -> LatentModel:
         if keyword == "nodes":
             if node_count is not None:
                 raise ParseError("duplicate nodes line", line_no)
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not fields[1].isdecimal():
                 raise ParseError("expected: nodes <count>", line_no)
             node_count = int(fields[1])
         elif keyword == "levels":
@@ -71,7 +71,7 @@ def parse_model(source: str | IO[str]) -> LatentModel:
             if len(fields) != 2 or "=" not in fields[1]:
                 raise ParseError("expected: levels <node>=<count>", line_no)
             v_str, _, l_str = fields[1].partition("=")
-            if not v_str.isdigit() or not l_str.isdigit():
+            if not v_str.isdecimal() or not l_str.isdecimal():
                 raise ParseError("expected: levels <node>=<count>", line_no)
             v, l = int(v_str), int(l_str)
             if not 0 <= v < node_count:
@@ -82,7 +82,7 @@ def parse_model(source: str | IO[str]) -> LatentModel:
         elif keyword == "edge":
             if node_count is None:
                 raise ParseError("edge before nodes line", line_no)
-            if len(fields) != 3 or not fields[1].isdigit() or not fields[2].isdigit():
+            if len(fields) != 3 or not fields[1].isdecimal() or not fields[2].isdecimal():
                 raise ParseError("expected: edge <i> <j>", line_no)
             i, j = int(fields[1]), int(fields[2])
             if i == j:

@@ -1,4 +1,4 @@
-"""Undirected-graph combinatorics: complements, cliques, complete subsets, boundaries.
+"""Undirected-graph combinatorics: complements, cliques, complete subsets, components.
 
 Graphs are immutable values over contiguous node ids 0..node_count-1.  Node sets
 are exposed as frozensets; internally everything runs on integer bitmasks, which
@@ -190,8 +190,3 @@ def connected_components(g: Graph) -> list[NodeSet]:
         comps.append(comp)
         unseen &= ~comp
     return [_set_of(c) for c in comps]
-
-
-def is_connected(g: Graph) -> bool:
-    """True when every pair of nodes is joined by a path; single nodes count."""
-    return len(connected_components(g)) == 1

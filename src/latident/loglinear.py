@@ -52,10 +52,6 @@ class LatentModel:
         return LatentModel(graph, (2,) * graph.node_count)
 
     @property
-    def n_observed(self) -> int:
-        return self.graph.node_count - 1
-
-    @property
     def observed_set(self) -> NodeSet:
         return frozenset(range(1, self.graph.node_count))
 
@@ -132,7 +128,12 @@ def design_matrix(m: LatentModel, idx: ParamIndex) -> np.ndarray:
     the nodes in I are fixed at the combo's levels, every other axis is free.
     """
     dims = (2,) + tuple(m.levels[1:])
-    z = np.zeros(dims + (idx.p,))
+    try:
+        z = np.zeros(dims + (idx.p,))
+    except (ValueError, MemoryError):  # too many axes, or too many cells to allocate
+        raise ValidationError(
+            f"design matrix of shape ({2 * m.table_size}, {idx.p}) is too large"
+        ) from None
     for j, e in enumerate(idx.entries):
         cell: list = [slice(None)] * len(dims)
         for v, level in zip(e.nodes, e.levels):

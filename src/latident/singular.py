@@ -1,12 +1,10 @@
 """Explicit equations for the parameter subspaces where the Jacobian drops rank.
 
-Two generators: boundary equations attached to a complete set with no plain
-identifying sequence (one equation per complete subset of its complement
-boundary, expanded per level combination), and disconnection equations for
-models whose complement observed graph is disconnected.  Every equation is a
-sum of hidden-node interaction coordinates set to zero, with one coordinate
-designated so points on the subspace can be sampled by solving for the
-designated coordinates.
+The boundary system: each complete set with no plain identifying sequence gets
+one equation per complete subset of its complement boundary, expanded per level
+combination.  Every equation is a sum of hidden-node interaction coordinates
+set to zero, with its first term designated so points on the subspace can be
+sampled by solving for the designated coordinates.
 
 A model's system is built from the observed context that `classify` already
 holds (G_S, the subgraph on the hidden node's neighbours, its complement and the
@@ -33,9 +31,7 @@ from .graph import (
     _mask_of,
     _neighborhood,
     complement,
-    connected_components,
     induced_subgraph,
-    is_connected,
 )
 from .identify import _plain_ok, classify, latent_partition
 from .loglinear import LATENT, LatentModel, ParamEntry, ParamIndex
@@ -43,10 +39,9 @@ from .loglinear import LATENT, LatentModel, ParamEntry, ParamIndex
 
 @dataclass(frozen=True)
 class EquationSource:
-    """Where an equation came from: a failing set and boundary subset, or a
-    nested pair of complete sets spanning two complement components."""
+    """Where an equation came from: a failing set and the boundary subset V0."""
 
-    kind: str  # "boundary" | "disconnection"
+    kind: str  # always "boundary"; reports print it as source_kind
     base_set: NodeSet
     other_set: NodeSet
 
@@ -79,12 +74,6 @@ class SingularSystem:
         return [eq.render() for eq in self.equations]
 
 
-def _observed_context(m: LatentModel) -> tuple[Graph, tuple[int, ...], Graph]:
-    """G_S (local ids), its map back to model ids, and its complement."""
-    g_s, node_map = induced_subgraph(m.graph, latent_partition(m)[0])
-    return g_s, node_map, complement(g_s)
-
-
 def _subsets(mask: int) -> list[int]:
     """Every subset of mask, the empty one first, in (size, lexicographic) order."""
     singles = [1 << v for v in _bits(mask)]
@@ -95,18 +84,16 @@ def _expand_equation(
     m: LatentModel,
     node_map: tuple[int, ...],
     term_masks: list[int],
-    designated: int,
     source: EquationSource,
 ) -> list[SingularEquation]:
     """One equation per level combination of the observed nodes involved.
 
     `term_masks` (observed parts, local ids of G_S) come in (size, lexicographic)
-    order, which adding the hidden node keeps, so the terms need no sort;
-    `designated` is one of them.  An all-binary model gives exactly one equation.
+    order, which adding the hidden node keeps, so the terms need no sort; the
+    first one is designated.  An all-binary model gives exactly one equation.
     """
     term_nodes = [tuple(node_map[v] for v in _bits(t)) for t in term_masks]
     involved = sorted(set().union(*term_nodes))
-    at = term_masks.index(designated)
     out = []
     for combo in product(*(range(1, m.levels[v]) for v in involved)):
         level_of = dict(zip(involved, combo))
@@ -114,7 +101,7 @@ def _expand_equation(
             ParamEntry((LATENT, *nodes), (1, *(level_of[v] for v in nodes)))
             for nodes in term_nodes
         )
-        out.append(SingularEquation(terms=terms, designated=terms[at], source=source))
+        out.append(SingularEquation(terms=terms, designated=terms[0], source=source))
     return out
 
 
@@ -127,7 +114,7 @@ def locus_equations_for_set(m: LatentModel, i0: NodeSet) -> list[SingularEquatio
     is designated.
     """
     i0 = frozenset(i0)
-    g_s, node_map, comp_s = _observed_context(m)
+    g_s, node_map = induced_subgraph(m.graph, latent_partition(m)[0])
     if not i0 <= set(node_map):
         raise ValueError("i0 must consist of observed nodes adjacent to the hidden node")
     local = [node_map.index(v) for v in i0]
@@ -138,49 +125,7 @@ def locus_equations_for_set(m: LatentModel, i0: NodeSet) -> list[SingularEquatio
         raise NotApplicableError(
             f"{sorted(i0)} has an identifying sequence; no locus equations apply"
         )
-    return list(_singular_system(m, g_s, node_map, comp_s, [c_mask]).equations)
-
-
-def disconnection_equations(m: LatentModel) -> list[SingularEquation]:
-    """Equations tied to a disconnected complement of the observed subgraph.
-
-    For complete sets I1, I2 inside two different complement components (their
-    union is complete) and any complete S' with I1 strictly inside S' and S'
-    inside the union: the coordinates of {0, I} over the subsets I of S' not
-    contained in I1 sum to zero.  The {0, S'} term is designated.
-    """
-    g_s, node_map, comp_s = _observed_context(m)
-    if is_connected(comp_s):
-        raise NotApplicableError("the complement of the observed subgraph is connected")
-    comps = [_mask_of(c) for c in connected_components(comp_s)]
-    all_complete = _complete_masks(g_s)
-    equations: list[SingularEquation] = []
-    for comp_a, comp_b in product(comps, comps):
-        if comp_a == comp_b:
-            continue
-        for i1 in (s for s in all_complete if not s & ~comp_a):
-            base_set = frozenset(node_map[v] for v in _bits(i1))
-            for i2 in (s for s in all_complete if not s & ~comp_b):
-                union = i1 | i2
-                for s_prime in (
-                    s for s in all_complete if s != i1 and s & i1 == i1 and not s & ~union
-                ):
-                    other_set = frozenset(node_map[v] for v in _bits(s_prime))
-                    source = EquationSource("disconnection", base_set, other_set)
-                    inner = [t for t in _subsets(s_prime) if t & ~i1]
-                    equations.extend(_expand_equation(m, node_map, inner, s_prime, source))
-    return _dedup(equations)
-
-
-def _dedup(equations: list[SingularEquation]) -> list[SingularEquation]:
-    """Drop literal duplicates (same term set), keep first source, sort canonically."""
-    seen: dict[tuple[ParamEntry, ...], SingularEquation] = {}
-    for eq in equations:
-        seen.setdefault(eq.terms, eq)
-    return sorted(
-        seen.values(),
-        key=lambda eq: (eq.designated.sort_key(), tuple(t.sort_key() for t in eq.terms)),
-    )
+    return list(_singular_system(m, g_s, node_map, complement(g_s), [c_mask]).equations)
 
 
 def _singular_system(
@@ -208,8 +153,9 @@ def _singular_system(
     for (v0, anchored), base_set in first.items():
         source = EquationSource("boundary", base_set, frozenset(node_map[v] for v in _bits(v0)))
         terms = [v0 | extra for extra in _subsets(anchored)]
-        equations.extend(_expand_equation(m, node_map, terms, v0, source))
-    return SingularSystem(equations=tuple(_dedup(equations)))
+        equations.extend(_expand_equation(m, node_map, terms, source))
+    equations.sort(key=lambda eq: tuple(t.sort_key() for t in eq.terms))
+    return SingularSystem(equations=tuple(equations))
 
 
 def full_system(m: LatentModel) -> SingularSystem:

@@ -44,6 +44,16 @@ def dense_model(n: int) -> LatentModel:
     )
 
 
+def hidden_over_all_graphs():
+    """Every labelled graph on observed nodes 1..k, k = 1..5, with the hidden
+    node 0 adjacent to all of them: the 1,099 graphs of the exhaustive sweep."""
+    for k in range(1, 6):
+        pairs = list(itertools.combinations(range(1, k + 1), 2))
+        for bits in range(1 << len(pairs)):
+            observed = [pr for b, pr in enumerate(pairs) if bits >> b & 1]
+            yield Graph.from_edges(k + 1, [(0, v) for v in range(1, k + 1)] + observed)
+
+
 @pytest.fixture(scope="session")
 def path5():
     return load_model("path5")

@@ -20,7 +20,7 @@ from latident import (
 )
 from latident.cli import main
 
-from conftest import FIXTURE_NAMES, load_model, model_path
+from conftest import FIXTURE_NAMES, load_model, model_path, star_model
 
 
 def run_cli(capsys, *argv):
@@ -357,6 +357,38 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", str(bad))
     assert code == 1
     assert "duplicate edge" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("nodes \u00b2\n", "line 1: expected: nodes <count>"),
+        ("nodes 3\nedge 1 \u00b2\n", "line 2: expected: edge <i> <j>"),
+        ("nodes 3\nlevels 1=\u00b3\n", "line 2: expected: levels <node>=<count>"),
+    ],
+    ids=["nodes", "edge", "levels"],
+)
+def test_parse_rejects_superscript_digits(tmp_path, capsys, text, message):
+    # str.isdigit accepts superscripts, which int() then refuses
+    path = tmp_path / "superscript.model"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("n", [45, 70])
+def test_rank_rejects_oversized_design_matrix(tmp_path, capsys, n):
+    # numpy refuses both tables without allocating: 2^46 x 92 float64 cells
+    # (46 PiB) at n = 45, and 72 axes (over its 64) at n = 70
+    path = tmp_path / "star.model"
+    path.write_text(serialize_model(star_model(n)))
+    code, out, err = run_cli(capsys, "rank", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: design matrix of shape (")
+    assert f", {2 * n + 2}) is too large" in err
 
 
 def test_missing_file_exit_code(capsys):

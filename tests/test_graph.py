@@ -9,7 +9,6 @@ from latident import (
     complete_subsets,
     connected_components,
     induced_subgraph,
-    is_connected,
     maximal_cliques,
 )
 
@@ -153,12 +152,12 @@ def test_complete_subsets_brute_force_cross_check():
 
 def test_is_connected_examples():
     comp = complement(PATH5)  # complement of the observed path is connected
-    assert is_connected(comp)
+    assert len(connected_components(comp)) == 1
     two_triangles = Graph.from_edges(
         6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
     )
-    assert not is_connected(two_triangles)
-    assert is_connected(Graph(1, frozenset()))
+    assert len(connected_components(two_triangles)) == 2
+    assert len(connected_components(Graph(1, frozenset()))) == 1
 
 
 def test_connected_components_order():

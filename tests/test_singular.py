@@ -11,7 +11,6 @@ from latident import (
     SingularSystem,
     build_param_index,
     classify,
-    disconnection_equations,
     full_system,
     generic_rank,
     locus_equations_for_set,
@@ -22,7 +21,7 @@ from latident import singular
 from latident.singular import EquationSource, SingularEquation
 from latident.loglinear import ParamEntry
 
-from conftest import FIXTURE_NAMES, dense_model, load_model
+from conftest import FIXTURE_NAMES, dense_model, hidden_over_all_graphs, load_model
 
 TRIANGLE_PENDANTS_SYSTEM = {
     "b{0,2} + b{0,2,5} = 0",
@@ -153,31 +152,6 @@ def test_equation_terms_exist_in_param_index(triangle_pendants, k4_pendants):
                 assert 0 in term.nodes
 
 
-def test_disconnection_equations_bare_triangle():
-    m = LatentModel.binary(
-        Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    )
-    eqs = disconnection_equations(m)
-    rendered = {e.render() for e in eqs}
-    assert "b{0,2} + b{0,1,2} = 0" in rendered
-    assert all(e.source.kind == "disconnection" for e in eqs)
-
-
-def test_disconnection_equations_smallest_instance():
-    # two complement components {1},{2} joined by an observed edge
-    m = LatentModel.binary(Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]))
-    eqs = disconnection_equations(m)
-    assert {e.render() for e in eqs} == {
-        "b{0,1} + b{0,1,2} = 0",
-        "b{0,2} + b{0,1,2} = 0",
-    }
-
-
-def test_disconnection_equations_not_applicable_when_connected(path5):
-    with pytest.raises(NotApplicableError):
-        disconnection_equations(path5)
-
-
 def test_sample_on_subspace_satisfies_system(triangle_pendants):
     idx = build_param_index(triangle_pendants)
     system = full_system(triangle_pendants)
@@ -298,11 +272,7 @@ def _digest_model(name):
     return load_model(name)
 
 
-@pytest.mark.parametrize("name", list(SYSTEM_DIGESTS))
-def test_singular_system_matches_pinned_digest(name):
-    system = classify(_digest_model(name)).singular_system
-    equations = system.equations if system is not None else ()
-    h = hashlib.sha256()
+def _hash_equations(h, equations):
     for eq in equations:
         keys = [t.sort_key() for t in eq.terms]
         assert keys == sorted(keys)
@@ -311,4 +281,34 @@ def test_singular_system_matches_pinned_digest(name):
             f"{eq.render()}|{eq.designated.name}|{src.kind}|"
             f"{sorted(src.base_set)}|{sorted(src.other_set)}\n".encode()
         )
+
+
+@pytest.mark.parametrize("name", list(SYSTEM_DIGESTS))
+def test_singular_system_matches_pinned_digest(name):
+    system = classify(_digest_model(name)).singular_system
+    equations = system.equations if system is not None else ()
+    h = hashlib.sha256()
+    _hash_equations(h, equations)
     assert (len(equations), h.hexdigest()) == SYSTEM_DIGESTS[name]
+
+
+def test_exhaustive_singular_systems_match_pinned_digest():
+    # every labelled graph on k = 1..5 observed nodes, hidden node adjacent to
+    # all, once all-binary and once with node 1 at 3 levels; one sha256 over
+    # every system in that order, pinned before the disconnection generator and
+    # the first-seen dedup were deleted
+    h = hashlib.sha256()
+    systems = equations = 0
+    for g in hidden_over_all_graphs():
+        binary = (2,) * g.node_count
+        for levels in (binary, (2, 3) + binary[2:]):
+            system = classify(LatentModel(g, levels)).singular_system
+            if system is not None:
+                systems += 1
+                equations += len(system.equations)
+                _hash_equations(h, system.equations)
+    assert (systems, equations, h.hexdigest()) == (
+        478,
+        3018,
+        "9b5ffc0e14aa72c028b64e46de275062d7a67b99e412cc9ed55b87abe3ee274f",
+    )
