@@ -46,8 +46,11 @@ _STATUS_EXIT = {
 def parse_model(source: str | IO[str]) -> LatentModel:
     """Parse a model file (path or open text stream) into a LatentModel."""
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"byte {exc.start}: not valid UTF-8") from None
     else:
         text = source.read()
     node_count: int | None = None
@@ -132,7 +135,7 @@ def _system_block(system: SingularSystem | None) -> dict | None:
             }
             for eq in system.equations
         ],
-        "expected_rank_drop_full": system.expected_rank_drop_full,
+        "expected_rank_drop_full": None,  # schema 1 keeps the key; never computed
     }
 
 
@@ -353,7 +356,10 @@ def _build_parser():
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage exit is 2, which means "generically identified"
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         if args.command == "classify":
             return cmd_classify(args.file)

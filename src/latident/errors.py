@@ -28,7 +28,12 @@ class NotApplicableError(LatidentError):
 
 
 class InconsistentSystemError(LatidentError):
-    """A singular system cannot be put into solvable designated-coordinate form."""
+    """A singular system cannot be sampled by back-substitution.
+
+    Two equations designate one coordinate, an equation designates a coordinate
+    that one solved before it read, a coordinate is not in the parameter index,
+    or every draw leaves a solved coordinate within 1e-6 of zero.
+    """
 
 
 class DimensionMismatchError(LatidentError):

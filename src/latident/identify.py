@@ -49,23 +49,22 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class SequenceCert:
-    """A found identifying sequence: the target set and the full chain from it.
+    """A found identifying sequence: the chain from its target set, `chain[0]`.
 
     kind "generalized": sizes are non-increasing and the chain ends in a
     singleton.  kind "plain": every element has the target's size except the
     last, which is strictly smaller; elements are pairwise distinct.
     """
 
-    target: NodeSet
     chain: tuple[NodeSet, ...]
     kind: str
 
+    @property
+    def target(self) -> NodeSet:
+        return self.chain[0]
+
     def relabeled(self, mapping: Mapping[int, int]) -> "SequenceCert":
-        return SequenceCert(
-            target=frozenset(mapping[v] for v in self.target),
-            chain=tuple(frozenset(mapping[v] for v in s) for s in self.chain),
-            kind=self.kind,
-        )
+        return SequenceCert(tuple(frozenset(mapping[v] for v in s) for s in self.chain), self.kind)
 
     def validate(self, g: Graph, node_map: Sequence[int] | None = None) -> None:
         """Raise ValidationError unless the chain is a valid sequence in g.
@@ -73,16 +72,15 @@ class SequenceCert:
         When the cert was relabeled away from g's ids, pass node_map with
         node_map[local_id] = cert_id to translate back.
         """
+        if not self.chain:
+            raise ValidationError("the chain is empty")
         if node_map is None:
             node_map = range(g.node_count)
         inv = {orig: local for local, orig in enumerate(node_map)}
-        unknown = set(self.target).union(*self.chain) - inv.keys()
+        unknown = set().union(*self.chain) - inv.keys()
         if unknown:
             raise ValidationError(f"node {min(unknown)} is not a node of the graph")
         chain = tuple(frozenset(inv[v] for v in s) for s in self.chain)
-        target = frozenset(inv[v] for v in self.target)
-        if not chain or chain[0] != target:
-            raise ValidationError("chain must start at the target set")
         comp_adj = complement(g).adjacency_masks
         for s in chain:
             if not g.is_complete_set(s):
@@ -95,7 +93,7 @@ class SequenceCert:
                         f"node {i} has no complement neighbor in {sorted(b)}"
                     )
         if self.kind == "generalized":
-            if len(target) <= 1:
+            if len(chain[0]) <= 1:
                 raise ValidationError("generalized sequences start from sets of size > 1")
             for a, b in zip(chain, chain[1:]):
                 if len(b) > len(a):
@@ -103,7 +101,7 @@ class SequenceCert:
             if len(chain[-1]) != 1:
                 raise ValidationError("generalized sequences must end in a singleton")
         elif self.kind == "plain":
-            k = len(target)
+            k = len(chain[0])
             if k < 2:
                 raise ValidationError("plain sequences start from sets of size >= 2")
             if len(chain) < 2:
@@ -117,13 +115,6 @@ class SequenceCert:
                 raise ValidationError("chain elements must be pairwise distinct")
         else:
             raise ValidationError(f"unknown sequence kind {self.kind!r}")
-
-    def is_valid(self, g: Graph, node_map: Sequence[int] | None = None) -> bool:
-        try:
-            self.validate(g, node_map)
-        except ValidationError:
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -261,7 +252,7 @@ def _shortest_chain(
             and not cur & ~_neighborhood(comp_adj, j)
         )
         chain.append(_set_of(cur))
-    return SequenceCert(target=target, chain=tuple(chain), kind=kind)
+    return SequenceCert(tuple(chain), kind)
 
 
 def latent_class_check(n: int) -> bool:

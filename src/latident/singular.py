@@ -3,8 +3,10 @@
 The boundary system: each complete set with no plain identifying sequence gets
 one equation per complete subset of its complement boundary, expanded per level
 combination.  Every equation is a sum of hidden-node interaction coordinates
-set to zero, with its first term designated so points on the subspace can be
-sampled by solving for the designated coordinates.
+set to zero.  Its terms come in column order and the first is designated: the
+other terms' subsets strictly contain the designated one, so solving the
+equations from the highest designated column down sets each designated
+coordinate from coordinates that are already final (back-substitution).
 
 A model's system is built from the observed context that `classify` already
 holds (G_S, the subgraph on the hidden node's neighbours, its complement and the
@@ -41,7 +43,7 @@ from .loglinear import LATENT, LatentModel, ParamEntry, ParamIndex
 class EquationSource:
     """Where an equation came from: a failing set and the boundary subset V0."""
 
-    kind: str  # always "boundary"; reports print it as source_kind
+    kind = "boundary"  # the one generator; reports print it as source_kind
     base_set: NodeSet
     other_set: NodeSet
 
@@ -50,13 +52,16 @@ class EquationSource:
 class SingularEquation:
     """Sum of the listed coordinates equals zero; all coefficients are +1.
 
-    Every term's subset contains the hidden node.  `designated` is the term a
-    sampler solves for; it is always one of `terms`.
+    Every term's subset contains the hidden node.  The terms come in column
+    order, and the first, `designated`, is the one a sampler solves for.
     """
 
     terms: tuple[ParamEntry, ...]
-    designated: ParamEntry
     source: EquationSource
+
+    @property
+    def designated(self) -> ParamEntry:
+        return self.terms[0]
 
     def render(self) -> str:
         return " + ".join(t.name for t in self.terms) + " = 0"
@@ -64,11 +69,9 @@ class SingularEquation:
 
 @dataclass(frozen=True)
 class SingularSystem:
-    """Deduplicated, deterministically ordered equations; rank drop unknown
-    unless externally established."""
+    """Deduplicated equations, ordered by their terms' sort keys."""
 
     equations: tuple[SingularEquation, ...]
-    expected_rank_drop_full: int | None = None
 
     def render(self) -> list[str]:
         return [eq.render() for eq in self.equations]
@@ -101,7 +104,7 @@ def _expand_equation(
             ParamEntry((LATENT, *nodes), (1, *(level_of[v] for v in nodes)))
             for nodes in term_nodes
         )
-        out.append(SingularEquation(terms=terms, designated=terms[0], source=source))
+        out.append(SingularEquation(terms, source))
     return out
 
 
@@ -151,7 +154,7 @@ def _singular_system(
                 first.setdefault((v0, anchored), base_set)
     equations: list[SingularEquation] = []
     for (v0, anchored), base_set in first.items():
-        source = EquationSource("boundary", base_set, frozenset(node_map[v] for v in _bits(v0)))
+        source = EquationSource(base_set, frozenset(node_map[v] for v in _bits(v0)))
         terms = [v0 | extra for extra in _subsets(anchored)]
         equations.extend(_expand_equation(m, node_map, terms, source))
     equations.sort(key=lambda eq: tuple(t.sort_key() for t in eq.terms))
@@ -178,60 +181,41 @@ def full_system(m: LatentModel) -> SingularSystem:
 def sample_on_subspace(sys: SingularSystem, idx: ParamIndex, seed) -> np.ndarray:
     """A parameter point with all coordinates nonzero satisfying every equation.
 
-    Free coordinates follow the standard sampling law; the designated
-    coordinate of each equation is solved from the others (designated
-    coordinates appearing in other equations are handled by one joint linear
-    solve).  Resamples, up to a cap, whenever a solved coordinate lands within
-    1e-6 of zero.
+    Free coordinates follow the standard sampling law.  The equations are solved
+    by back-substitution, from the highest designated column down: each sets its
+    designated coordinate to minus the sum of its other terms, taken in term
+    order.  Raises InconsistentSystemError when an equation would set a column
+    an equation solved before it set or read; resamples, up to a cap, whenever a
+    solved coordinate lands within 1e-6 of zero.
     """
     from .numeric import sample_beta
 
-    designated_cols: list[int] = []
-    for eq in sys.equations:
-        if eq.designated not in eq.terms:
-            raise InconsistentSystemError("designated coordinate missing from its equation")
-        col = idx.lookup.get(eq.designated)
-        if col is None:
+    missing = [t for eq in sys.equations for t in eq.terms if t not in idx.lookup]
+    if missing:
+        raise InconsistentSystemError(f"coordinate {missing[0].name} is not in the parameter index")
+    eq_cols = [[idx.lookup[t] for t in eq.terms] for eq in sys.equations]
+    eq_cols.sort(key=lambda cols: cols[0], reverse=True)
+    was_set: dict[int, bool] = {}  # column an earlier equation used -> it set that column
+    for d, *others in eq_cols:
+        if d in was_set:
             raise InconsistentSystemError(
-                f"coordinate {eq.designated.name} is not in the parameter index"
+                "designated coordinates are not distinct across equations"
+                if was_set[d]
+                else f"coordinate {idx.entries[d].name} is set after an equation read it"
             )
-        designated_cols.append(col)
-    if len(set(designated_cols)) != len(designated_cols):
-        raise InconsistentSystemError(
-            "designated coordinates are not distinct across equations"
-        )
-    col_to_eq = {c: e for e, c in enumerate(designated_cols)}
-    d = len(sys.equations)
+        for c in others:
+            was_set.setdefault(c, False)
+        was_set[d] = True
     seed_key = list(seed) if isinstance(seed, (tuple, list)) else [seed]
 
     for attempt in range(100):
         beta = sample_beta(idx.p, seed_key + [attempt])
-        if d == 0:
-            return beta
-        a = np.zeros((d, d))
-        b = np.zeros(d)
-        for e, eq in enumerate(sys.equations):
-            a[e, e] += 1.0
-            for term in eq.terms:
-                if term == eq.designated:
-                    continue
-                col = idx.lookup.get(term)
-                if col is None:
-                    raise InconsistentSystemError(
-                        f"coordinate {term.name} is not in the parameter index"
-                    )
-                if col in col_to_eq:
-                    a[e, col_to_eq[col]] += 1.0
-                else:
-                    b[e] -= beta[col]
-        try:
-            solved = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise InconsistentSystemError(
-                "designated coordinates form a circular dependency"
-            ) from exc
-        if np.min(np.abs(solved)) > 1e-6:
-            beta[designated_cols] = solved
+        for d, *others in eq_cols:
+            value = 0.0
+            for c in others:
+                value -= beta[c]
+            beta[d] = value
+        if all(abs(beta[cols[0]]) > 1e-6 for cols in eq_cols):
             return beta
     raise InconsistentSystemError(
         "could not sample a point with all coordinates nonzero; "

@@ -112,6 +112,7 @@ def test_classify_exit_codes(capsys):
     assert code == 2
     report = json.loads(out)
     assert report["singular_system"]["equation_count"] == 3
+    assert report["singular_system"]["expected_rank_drop_full"] is None
 
     code, out, _ = run_cli(capsys, "classify", model_path("triangle_isolated"))
     assert code == 3
@@ -389,6 +390,40 @@ def test_rank_rejects_oversized_design_matrix(tmp_path, capsys, n):
     assert out == ""
     assert err.startswith("error: design matrix of shape (")
     assert f", {2 * n + 2}) is too large" in err
+
+
+def test_non_utf8_model_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.model"
+    path.write_bytes(b"nodes 3\nedge 0 1\n\xff\n")
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: byte 17: not valid UTF-8\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", model_path("path5"), "--trails", "5"],
+        ["verify", model_path("path5"), "--seed", "abc"],
+        ["verify"],
+        ["frobnicate", "x"],
+        [],
+    ],
+    ids=["unknown-option", "bad-seed", "no-file", "unknown-command", "bare"],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    # argparse exits 2 on its own, which would read as "generically identified"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "usage: latident" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: latident")
 
 
 def test_missing_file_exit_code(capsys):

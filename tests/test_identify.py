@@ -139,21 +139,20 @@ def test_consecutive_chain_elements_disjoint():
 def test_sequence_cert_validate_rejects_broken_chains():
     g, _ = observed_graph("path5")
     bad = SequenceCert(
-        target=frozenset({0, 1}),
         chain=(frozenset({0, 1}), frozenset({1})),  # 1 is adjacent to 2
         kind="generalized",
     )
-    assert not bad.is_valid(g)
+    with pytest.raises(ValidationError):
+        bad.validate(g)
 
 
 def test_sequence_cert_validate_rejects_unknown_node():
     g, node_map = observed_graph("path5")
-    cert = SequenceCert(
-        target=frozenset({1, 7}), chain=(frozenset({1, 7}), frozenset({7})), kind="generalized"
-    )
+    cert = SequenceCert(chain=(frozenset({1, 7}), frozenset({7})), kind="generalized")
     with pytest.raises(ValidationError, match="node 7"):
         cert.validate(g, (0, 1, 2))
-    assert not cert.is_valid(g, node_map)
+    with pytest.raises(ValidationError):
+        cert.validate(g, node_map)
 
 
 # ---------------------------------------------------------------- classify
