@@ -45,14 +45,14 @@ _STATUS_EXIT = {
 
 def parse_model(source: str | IO[str]) -> LatentModel:
     """Parse a model file (path or open text stream) into a LatentModel."""
-    if isinstance(source, str):
-        try:
+    try:
+        if isinstance(source, str):
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"byte {exc.start}: not valid UTF-8") from None
-    else:
-        text = source.read()
+        else:
+            text = source.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {exc.start}: not valid UTF-8") from None
     node_count: int | None = None
     levels: dict[int, int] = {}
     edges: set[tuple[int, int]] = set()
@@ -122,19 +122,22 @@ def _nodes(ns) -> list[int]:
 def _system_block(system: SingularSystem | None) -> dict | None:
     if system is None:
         return None
-    return {
-        "equation_count": len(system.equations),
-        "equations": [
+    equations = []
+    for eq in system.equations:
+        terms = [t.name for t in eq.terms]
+        equations.append(
             {
-                "text": eq.render(),
-                "terms": [t.name for t in eq.terms],
-                "designated": eq.designated.name,
+                "text": " + ".join(terms) + " = 0",
+                "terms": terms,
+                "designated": terms[0],
                 "source_kind": eq.source.kind,
                 "source_set": _nodes(eq.source.base_set),
                 "source_boundary_subset": _nodes(eq.source.other_set),
             }
-            for eq in system.equations
-        ],
+        )
+    return {
+        "equation_count": len(system.equations),
+        "equations": equations,
         "expected_rank_drop_full": None,  # schema 1 keeps the key; never computed
     }
 

@@ -147,23 +147,30 @@ def maximal_cliques(g: Graph) -> list[NodeSet]:
     return sorted((_set_of(m) for m in out), key=lambda s: tuple(sorted(s)))
 
 
+def _complete_within(adj: tuple[int, ...], within: int) -> list[int]:
+    """Bitmask of every nonempty complete subset of the nodes in `within`, in
+    grow order: each set is extended only by higher nodes adjacent to all of it,
+    so the search visits exactly the complete subsets, each once."""
+    found: list[int] = []
+
+    def grow(mask: int, cand: int) -> None:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            found.append(mask | low)
+            grow(mask | low, cand & adj[low.bit_length() - 1])
+
+    grow(0, within)
+    return found
+
+
 @lru_cache(maxsize=4096)
 def _complete_masks(g: Graph) -> tuple[int, ...]:
     """Bitmask of every nonempty complete subset, ordered by size, then
     lexicographically.  Each graph is enumerated once; every consumer reads
     this tuple."""
-    adj = g.adjacency_masks
-    found: list[int] = []
-
-    def grow(mask: int, cand: int) -> None:
-        found.append(mask)
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            grow(mask | low, cand & adj[low.bit_length() - 1])
-
-    grow(0, (1 << g.node_count) - 1)  # found[0] is the empty set
-    return tuple(sorted(found[1:], key=lambda m: (m.bit_count(), _bits(m))))
+    found = _complete_within(g.adjacency_masks, (1 << g.node_count) - 1)
+    return tuple(sorted(found, key=lambda m: (m.bit_count(), _bits(m))))
 
 
 def complete_subsets(g: Graph, min_size: int) -> list[NodeSet]:

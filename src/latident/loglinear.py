@@ -72,9 +72,11 @@ class ParamEntry:
     nodes: tuple[int, ...]
     levels: tuple[int, ...]
 
-    @property
+    @cached_property
     def name(self) -> str:
-        """Coordinate name, e.g. "mu", "b{0,2,5}"; level 1 is implied, others shown as v:l."""
+        """Coordinate name, e.g. "mu", "b{0,2,5}"; level 1 is implied, others shown as v:l.
+
+        Built on first use and kept on the entry."""
         if not self.nodes:
             return "mu"
         parts = [

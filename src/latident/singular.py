@@ -10,17 +10,22 @@ coordinate from coordinates that are already final (back-substitution).
 
 A model's system is built from the observed context that `classify` already
 holds (G_S, the subgraph on the hidden node's neighbours, its complement and the
-failing sets); `full_system` reads it off the verdict.  The boundary equation of
-V0 is fixed by the int pair (V0, anchored), so equations are deduplicated on
-that pair, first failing set kept as source, before they are expanded per level
-combination; node sets stay bitmasks until then, and each system is sorted
-once.
+failing sets); `full_system` reads it off the verdict.  Node sets stay bitmasks
+until the equations are built.  For each failing set only the complete subsets
+inside its boundary are enumerated, by the grow search of `graph`; the boundary
+equation of V0 is fixed by the int pair (V0, anchored), so equations are
+deduplicated on that pair, first failing set kept as source, before they are
+expanded.  A system builds one ParamEntry per distinct coordinate, which every
+equation holding it shares, and sorts the equations once, on keys computed once
+per coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from .graph import (
     NodeSet,
     _bits,
     _complete_masks,
+    _complete_within,
     _mask_of,
     _neighborhood,
     complement,
@@ -77,34 +83,61 @@ class SingularSystem:
         return [eq.render() for eq in self.equations]
 
 
-def _subsets(mask: int) -> list[int]:
+@lru_cache(maxsize=4096)
+def _subsets(mask: int) -> tuple[int, ...]:
     """Every subset of mask, the empty one first, in (size, lexicographic) order."""
     singles = [1 << v for v in _bits(mask)]
-    return [sum(t) for r in range(len(singles) + 1) for t in combinations(singles, r)]
+    return tuple(sum(t) for r in range(len(singles) + 1) for t in combinations(singles, r))
+
+
+class _Coordinates(dict):
+    """A system's coordinates: one shared ParamEntry per distinct term, with its sort key.
+
+    Maps a term mask (local ids of G_S) with every level at 1, or a pair (mask,
+    levels) otherwise, to (entry, sort key), building each on first lookup.  The
+    sort key is the mask's rank in `_complete_masks(g_s)`, then the levels:
+    node_map is ascending, so it orders entries as `ParamEntry.sort_key` does.
+    """
+
+    def __init__(self, m: LatentModel, g_s: Graph, node_map: tuple[int, ...]):
+        super().__init__()
+        self.node_map = node_map
+        self.levels = [m.levels[v] for v in node_map]
+        self.multi = _mask_of(i for i, l in enumerate(self.levels) if l > 2)
+        self.rank = {c: r for r, c in enumerate(_complete_masks(g_s))}
+
+    def __missing__(self, key: int | tuple[int, tuple[int, ...]]) -> tuple[ParamEntry, tuple]:
+        mask, levels = key if isinstance(key, tuple) else (key, None)
+        nodes = (LATENT, *(self.node_map[v] for v in _bits(mask)))
+        levels = levels or (1,) * len(nodes)
+        hit = self[key] = (ParamEntry(nodes, levels), (self.rank[mask], levels))
+        return hit
 
 
 def _expand_equation(
-    m: LatentModel,
-    node_map: tuple[int, ...],
-    term_masks: list[int],
-    source: EquationSource,
-) -> list[SingularEquation]:
-    """One equation per level combination of the observed nodes involved.
+    coords: _Coordinates, term_masks: list[int], source: EquationSource
+) -> list[tuple[tuple, SingularEquation]]:
+    """One equation per level combination of the multi-level nodes involved,
+    each with its terms' sort keys.
 
     `term_masks` (observed parts, local ids of G_S) come in (size, lexicographic)
     order, which adding the hidden node keeps, so the terms need no sort; the
-    first one is designated.  An all-binary model gives exactly one equation.
+    first one is designated and the last is the union of all.  An equation over
+    binary nodes only is a single equation at level 1 throughout.
     """
-    term_nodes = [tuple(node_map[v] for v in _bits(t)) for t in term_masks]
-    involved = sorted(set().union(*term_nodes))
+    multi = _bits(term_masks[-1] & coords.multi)
+    if not multi:
+        entries, keys = zip(*map(coords.__getitem__, term_masks))
+        return [(keys, SingularEquation(entries, source))]
     out = []
-    for combo in product(*(range(1, m.levels[v]) for v in involved)):
-        level_of = dict(zip(involved, combo))
-        terms = tuple(
-            ParamEntry((LATENT, *nodes), (1, *(level_of[v] for v in nodes)))
-            for nodes in term_nodes
-        )
-        out.append(SingularEquation(terms, source))
+    for combo in product(*(range(1, coords.levels[v]) for v in multi)):
+        level_of = dict(zip(multi, combo))
+        pairs = []
+        for t in term_masks:
+            levels = (1, *(level_of.get(v, 1) for v in _bits(t)))
+            pairs.append(coords[(t, levels) if max(levels) > 1 else t])
+        entries, keys = zip(*pairs)
+        out.append((keys, SingularEquation(entries, source)))
     return out
 
 
@@ -138,27 +171,31 @@ def _singular_system(
 
     A failing set C has one equation per complete subset V0 of its complement
     boundary, with terms {V0 | I : I <= anchored}, where anchored holds the nodes
-    of C adjacent in G_S to all of V0.  The pair (V0, anchored) fixes the terms
-    and the terms fix the pair (V0 is the smallest term), so each distinct pair
-    is expanded once, with the first failing set that yields it as the source.
+    of C adjacent in G_S to all of V0.  The V0 are enumerated by growing complete
+    sets inside the boundary only.  The pair (V0, anchored) fixes the terms and
+    the terms fix the pair (V0 is the smallest term), so each distinct pair is
+    expanded once, with the first failing set that yields it as the source.  The
+    equations share one ParamEntry per distinct coordinate and are sorted on
+    sort keys computed once per coordinate.
     """
     adj = g_s.adjacency_masks
     first: dict[tuple[int, int], NodeSet] = {}
     for c_mask in failing:
-        c_nodes = _bits(c_mask)
-        base_set = frozenset(node_map[v] for v in c_nodes)
+        base_set = frozenset(node_map[v] for v in _bits(c_mask))
         bd_mask = _neighborhood(comp_s.adjacency_masks, c_mask) & ~c_mask
-        for v0 in _complete_masks(g_s):
-            if not v0 & ~bd_mask:
-                anchored = sum(1 << i for i in c_nodes if adj[i] & v0 == v0)
-                first.setdefault((v0, anchored), base_set)
-    equations: list[SingularEquation] = []
+        for v0 in _complete_within(adj, bd_mask):
+            anchored = c_mask
+            for v in _bits(v0):
+                anchored &= adj[v]
+            first.setdefault((v0, anchored), base_set)
+    coords = _Coordinates(m, g_s, node_map)
+    keyed: list[tuple[tuple, SingularEquation]] = []
     for (v0, anchored), base_set in first.items():
         source = EquationSource(base_set, frozenset(node_map[v] for v in _bits(v0)))
         terms = [v0 | extra for extra in _subsets(anchored)]
-        equations.extend(_expand_equation(m, node_map, terms, source))
-    equations.sort(key=lambda eq: tuple(t.sort_key() for t in eq.terms))
-    return SingularSystem(equations=tuple(equations))
+        keyed.extend(_expand_equation(coords, terms, source))
+    keyed.sort(key=itemgetter(0))
+    return SingularSystem(equations=tuple(eq for _, eq in keyed))
 
 
 def full_system(m: LatentModel) -> SingularSystem:

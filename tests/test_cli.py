@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -15,12 +16,14 @@ from latident import (
     ParseError,
     ValidationError,
     build_param_index,
+    classify,
     parse_model,
     serialize_model,
 )
+from latident import cli
 from latident.cli import main
 
-from conftest import FIXTURE_NAMES, load_model, model_path, star_model
+from conftest import FIXTURE_NAMES, dense_model, load_model, model_path, star_model
 
 
 def run_cli(capsys, *argv):
@@ -345,6 +348,16 @@ def test_locus_prints_equations_only(capsys):
     assert err == ""
 
 
+def test_system_block_matches_pinned_digest():
+    # the report block of the 4,441-equation dense system: text, terms,
+    # designated name and source sets of every equation, as classify prints it;
+    # pinned from the block that built each name once per term occurrence
+    block = cli._system_block(classify(dense_model(12)).singular_system)
+    assert block["equation_count"] == 4441
+    digest = hashlib.sha256(json.dumps(block, indent=2).encode()).hexdigest()
+    assert digest == "72ff83b3f781fc8d4378bce1406fa466e1b8a0ac4561d03d3e66e69fd59ed18a"
+
+
 def test_locus_on_identified_model(capsys):
     code, out, err = run_cli(capsys, "locus", model_path("path5"))
     assert code == 0
@@ -399,6 +412,12 @@ def test_non_utf8_model_file_is_a_parse_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: byte 17: not valid UTF-8\n"
+
+
+def test_non_utf8_stream_is_a_parse_error():
+    stream = io.TextIOWrapper(io.BytesIO(b"nodes 2\n\xff\n"), encoding="utf-8")
+    with pytest.raises(ParseError, match=r"^byte 8: not valid UTF-8$"):
+        parse_model(stream)
 
 
 @pytest.mark.parametrize(

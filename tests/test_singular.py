@@ -112,6 +112,12 @@ def test_each_distinct_equation_is_expanded_once(monkeypatch):
     assert len(calls) == len(system.equations) == 1105
 
 
+def test_equal_coordinates_are_one_shared_entry():
+    eqs = classify(dense_model(10)).singular_system.equations
+    terms = [t for eq in eqs for t in eq.terms]
+    assert len({id(t) for t in terms}) == len(set(terms)) < len(terms)
+
+
 def test_full_system_sources_are_failing_sets(k4_pendants):
     system = full_system(k4_pendants)
     verdict = classify(k4_pendants)
@@ -259,7 +265,9 @@ def test_t1_extension_keeps_s_restricted_system(triangle_pendants):
 
 
 # sha256 over each equation's text, designated name and source, for every
-# system; pinned from the implementation that sorted each equation's terms.
+# system; pinned from the implementation that sorted each equation's terms
+# (dense12 and dense9_3lev from the one that filtered every complete subset
+# against each boundary and built one ParamEntry per term occurrence).
 SYSTEM_DIGESTS = {
     "path5": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "path3_isolated": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -272,10 +280,18 @@ SYSTEM_DIGESTS = {
     "dense10": (1105, "0276eeafa7d3d34c753373866edda4b66dd53ed305ea07a889020dd268f53455"),
     "pendants_2_3lev": (4, "d9b61b7bfe3a464aa26cb3ba3365add29462e4676d40d199ff0deb8ec1688bc0"),
     "pendants_5_3lev": (4, "240488a4e80d117433de8500a72411de75dbdad82b0d1029d10db0cc0eda2060"),
+    "dense12": (4441, "64e91bfe791a29cce429ea0270ae975eaebc9a85b88a1ba05786582bc7df2973"),
+    "dense9_3lev": (1011, "2b9f438c5d3c1e10ab98b51f208ff574523c26ee7ea6010d820da73cf758ae88"),
 }
 
 
 def _digest_model(name):
+    if name.endswith("_3lev") and name.startswith("dense"):
+        # nodes 1 and 4 at 3 levels: multi-level terms across a large system
+        base = dense_model(int(name[5:].split("_")[0]))
+        levels = list(base.levels)
+        levels[1] = levels[4] = 3
+        return LatentModel(base.graph, tuple(levels))
     if name.startswith("dense"):
         return dense_model(int(name[5:]))
     if name.startswith("pendants_"):
