@@ -11,21 +11,27 @@ cross-check), rank (raw rank oracle at one point), locus (singular equations
 only).  Reports go to stdout as JSON; diagnostics to stderr.  Exit codes for
 classify/verify: 0 identified everywhere, 2 generically identified, 3 not
 identified, 1 any error.
+
+A report is written as it is produced, with the bytes json.dumps(report,
+indent=2) would give: the small blocks go through the encoder in one pass and
+the singular system is written one equation at a time, so a large classify
+holds the system in memory but not a second copy of it as text.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import operator
 import sys
 from typing import IO
 
 import numpy as np
 
 from .errors import DimensionMismatchError, LatidentError, ParseError, ValidationError
-from .graph import Graph
+from .graph import Graph, NodeSet
 from .identify import Status, Verdict, classify
-from .loglinear import LatentModel, ParamIndex, build_param_index
+from .loglinear import LatentModel, ParamIndex, build_param_index, param_count
 from .numeric import RankReport, generic_rank, jacobian, numeric_rank, rank_on_system, sample_beta
 from .singular import SingularSystem
 
@@ -119,29 +125,6 @@ def _nodes(ns) -> list[int]:
     return sorted(ns)
 
 
-def _system_block(system: SingularSystem | None) -> dict | None:
-    if system is None:
-        return None
-    equations = []
-    for eq in system.equations:
-        terms = [t.name for t in eq.terms]
-        equations.append(
-            {
-                "text": " + ".join(terms) + " = 0",
-                "terms": terms,
-                "designated": terms[0],
-                "source_kind": eq.source.kind,
-                "source_set": _nodes(eq.source.base_set),
-                "source_boundary_subset": _nodes(eq.source.other_set),
-            }
-        )
-    return {
-        "equation_count": len(system.equations),
-        "equations": equations,
-        "expected_rank_drop_full": None,  # schema 1 keeps the key; never computed
-    }
-
-
 def _verdict_block(verdict: Verdict) -> dict:
     return {
         "status": verdict.status.value,
@@ -186,21 +169,80 @@ def _model_block(m: LatentModel, path: str) -> dict:
     }
 
 
+# Between two term names of an equation's "terms" list, at the list's depth.
+_TERM_SEP = '",\n          "'
+
+
+def _write_system(write, system: SingularSystem) -> None:
+    """Write the singular_system block, one write per equation, with the bytes
+    json.dumps(..., indent=2) gives it as the value of a top-level key.
+
+    Each term's name is read once; its JSON string is the name in quotes (see
+    ParamEntry.name).  Each distinct source set is encoded once.
+    """
+    encoded: dict[NodeSet, str] = {}
+
+    def node_list(ns: NodeSet) -> str:
+        text = encoded.get(ns)
+        if text is None:
+            items = ",\n".join(f"          {v}" for v in _nodes(ns))
+            text = encoded[ns] = f"[\n{items}\n        ]" if ns else "[]"
+        return text
+
+    names_of = operator.attrgetter("name")
+    equations = system.equations
+    write(f'{{\n    "equation_count": {len(equations)},\n    "equations": [')
+    sep = "\n"
+    for eq in equations:
+        names = list(map(names_of, eq.terms))
+        text = " + ".join(names)
+        src = eq.source
+        write(
+            f'{sep}      {{\n        "text": "{text} = 0",\n'
+            f'        "terms": [\n          "{_TERM_SEP.join(names)}"\n        ],\n'
+            f'        "designated": "{names[0]}",\n'
+            f'        "source_kind": {json.dumps(src.kind)},\n'
+            f'        "source_set": {node_list(src.base_set)},\n'
+            f'        "source_boundary_subset": {node_list(src.other_set)}\n      }}'
+        )
+        sep = ",\n"
+    write("\n    ]" if equations else "]")
+    write(',\n    "expected_rank_drop_full": null\n  }')  # schema 1 keeps the key; never computed
+
+
+_INDENTED = json.JSONEncoder(indent=2)  # the encoder json.dumps(..., indent=2) builds per call
+# The singular_system key as the report's text has it.  A JSON string escapes
+# its quotes and newlines, so this text can be nothing but that key.
+_SYSTEM_KEY = '\n  "singular_system": '
+
+
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2))
+    """Write the report to stdout with the bytes of print(json.dumps(report, indent=2)).
+
+    The report goes through the encoder once with its singular system as null;
+    _write_system writes the system in that null's place, straight from its
+    equations.
+    """
+    system = report.get("singular_system")
+    text = _INDENTED.encode({**report, "singular_system": None} if system else report)
+    write = sys.stdout.write
+    if system:
+        head, text = text.split(_SYSTEM_KEY + "null")
+        write(head + _SYSTEM_KEY)
+        _write_system(write, system)
+    write(text + "\n")
 
 
 def cmd_classify(path: str) -> int:
     m = parse_model(path)
     verdict = classify(m)
-    idx = build_param_index(m)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "classify",
         "model": _model_block(m, path),
-        "p": idx.p,
+        "p": param_count(m),
         "verdict": _verdict_block(verdict),
-        "singular_system": _system_block(verdict.singular_system),
+        "singular_system": verdict.singular_system,
     }
     _emit(report)
     return _STATUS_EXIT[verdict.status]
@@ -255,7 +297,7 @@ def cmd_verify(path: str, trials: int, seed: int, tol: float | None) -> int:
         "trials": trials,
         "seed": seed,
         "verdict": _verdict_block(verdict),
-        "singular_system": _system_block(verdict.singular_system),
+        "singular_system": verdict.singular_system,
         "generic_rank": _rank_block(generic),
         "on_subspace_rank": _rank_block(on_system) if on_system else None,
         "consistency": {"consistent": consistent, "expectation": expectation},

@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import groupby
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -155,8 +156,15 @@ def latent_partition(m: LatentModel) -> tuple[NodeSet, NodeSet]:
     return s, t1
 
 
+def _neighborhoods(g: Graph) -> dict[int, int]:
+    """N(J), the OR of the complement adjacency masks over J, for every complete
+    set J of g, in the order of `_complete_masks`."""
+    comp_adj = complement(g).adjacency_masks
+    return {j: _neighborhood(comp_adj, j) for j in _complete_masks(g)}
+
+
 def _steps_to_end(
-    comp_adj: tuple[int, ...], pool: Sequence[int], steps: dict[int, int]
+    nbhd: Mapping[int, int], pool: Sequence[int], steps: dict[int, int]
 ) -> dict[int, int]:
     """FIFO backward BFS from the seeds in `steps` (all at one step count):
     give every set of pool that reaches a seed its fewest steps, a step I -> J
@@ -164,7 +172,7 @@ def _steps_to_end(
     queue = deque(steps)
     while queue:
         j = queue.popleft()
-        nj, n_j, d = j.bit_count(), _neighborhood(comp_adj, j), steps[j] + 1
+        nj, n_j, d = j.bit_count(), nbhd[j], steps[j] + 1
         for i in pool:
             if i not in steps and i.bit_count() >= nj and not i & ~n_j:
                 steps[i] = d
@@ -178,21 +186,22 @@ def _generalized_ok(g: Graph) -> Mapping[int, int]:
     each mapped to the fewest steps to one (singletons at 0)."""
     sets_ = _complete_masks(g)
     seeds = {m: 0 for m in sets_ if m.bit_count() == 1}
-    return MappingProxyType(_steps_to_end(complement(g).adjacency_masks, sets_, seeds))
+    return MappingProxyType(_steps_to_end(_neighborhoods(g), sets_, seeds))
 
 
 @lru_cache(maxsize=4096)
 def _plain_ok(g: Graph) -> Mapping[int, int]:
     """Complete sets of size >= 2 admitting an equal-size-then-smaller chain,
     each mapped to the fewest steps to the first smaller set."""
-    comp_adj = complement(g).adjacency_masks
-    sets_ = _complete_masks(g)
+    nbhd = _neighborhoods(g)
     steps: dict[int, int] = {}
-    for k in range(2, max((m.bit_count() for m in sets_), default=0) + 1):
-        n_smaller = {_neighborhood(comp_adj, m) for m in sets_ if m.bit_count() < k}
-        same = [m for m in sets_ if m.bit_count() == k]
-        seeds = {i: 1 for i in same if any(not i & ~n_j for n_j in n_smaller)}
-        steps |= _steps_to_end(comp_adj, same, seeds)
+    n_smaller: set[int] = set()  # N(J) of every complete J smaller than the current size
+    for k, same in groupby(nbhd, key=int.bit_count):  # the sets come by size
+        same = list(same)
+        if k > 1:
+            seeds = {i: 1 for i in same if any(not i & ~n_j for n_j in n_smaller)}
+            steps |= _steps_to_end(nbhd, same, seeds)
+        n_smaller.update(map(nbhd.__getitem__, same))
     return MappingProxyType(steps)
 
 

@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, NodeSet, _bits, _complete_masks
+from .graph import Graph, NodeSet, _bits, _complete_masks, _complete_within, _mask_of
 
 LATENT = 0
 
@@ -76,7 +76,9 @@ class ParamEntry:
     def name(self) -> str:
         """Coordinate name, e.g. "mu", "b{0,2,5}"; level 1 is implied, others shown as v:l.
 
-        Built on first use and kept on the entry."""
+        Built on first use and kept on the entry.  Names are ASCII with no quote,
+        backslash or control character, so a name's JSON string is the name in
+        double quotes; the report writer relies on that."""
         if not self.nodes:
             return "mu"
         parts = [
@@ -119,6 +121,17 @@ def build_param_index(m: LatentModel) -> ParamIndex:
         for combo in product(*(range(1, m.levels[v]) for v in nodes)):
             entries.append(ParamEntry(nodes, combo))
     return ParamIndex(tuple(entries))
+
+
+def param_count(m: LatentModel) -> int:
+    """The column count p of `build_param_index(m)`, without building the entries:
+    1 for the general mean plus, over the complete subsets I, the product of
+    levels[v] - 1 over the v in I (1 when every v in I is binary).  Counting
+    needs no order, so the subsets are taken unsorted from the grow search."""
+    less = [l - 1 for l in m.levels]
+    multi = _mask_of(v for v, l in enumerate(less) if l > 1)
+    found = _complete_within(m.graph.adjacency_masks, (1 << m.graph.node_count) - 1)
+    return 1 + sum(math.prod([less[v] for v in _bits(c & multi)]) for c in found)
 
 
 def design_matrix(m: LatentModel, idx: ParamIndex) -> np.ndarray:

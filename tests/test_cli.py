@@ -16,11 +16,9 @@ from latident import (
     ParseError,
     ValidationError,
     build_param_index,
-    classify,
     parse_model,
     serialize_model,
 )
-from latident import cli
 from latident.cli import main
 
 from conftest import FIXTURE_NAMES, dense_model, load_model, model_path, star_model
@@ -348,14 +346,69 @@ def test_locus_prints_equations_only(capsys):
     assert err == ""
 
 
-def test_system_block_matches_pinned_digest():
-    # the report block of the 4,441-equation dense system: text, terms,
-    # designated name and source sets of every equation, as classify prints it;
-    # pinned from the block that built each name once per term occurrence
-    block = cli._system_block(classify(dense_model(12)).singular_system)
-    assert block["equation_count"] == 4441
-    digest = hashlib.sha256(json.dumps(block, indent=2).encode()).hexdigest()
-    assert digest == "72ff83b3f781fc8d4378bce1406fa466e1b8a0ac4561d03d3e66e69fd59ed18a"
+def test_classify_report_matches_pinned_digest(tmp_path, monkeypatch, capsys):
+    # the whole classify report of the 4,441-equation dense system, as
+    # print(json.dumps(report, indent=2)) wrote it before reports were streamed
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("dense12.model").write_text(serialize_model(dense_model(12)))
+    code, out, err = run_cli(capsys, "classify", "dense12.model")
+    assert (code, err) == (2, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "647ef801aae329419c0d9856fde5fe28f47038b36b07e9c728cbc876a0a83d1c"
+
+
+# generated models of the round-trip test: dense ladders and multi-level nodes
+ROUND_TRIP_MODELS = {
+    **{f"dense{n}": dense_model(n) for n in (8, 9, 10)},
+    "k4_pendants_levels3": LatentModel(load_model("k4_pendants").graph, (2, 3, 3, 2, 2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("command", [["classify"], ["verify", "--trials", "3", "--seed", "0"], ["rank"]])
+@pytest.mark.parametrize("name", FIXTURE_NAMES + list(ROUND_TRIP_MODELS))
+def test_report_is_canonical_json(tmp_path, capsys, name, command):
+    # the streamed report is exactly json.dumps(indent=2) of what it parses to
+    if name in ROUND_TRIP_MODELS:
+        path = tmp_path / f"{name}.model"
+        path.write_text(serialize_model(ROUND_TRIP_MODELS[name]))
+    else:
+        path = model_path(name)
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    if code == 1:
+        # verify's on-subspace sampler raises InconsistentSystemError on the
+        # dense ladder; an error must leave no partial report behind
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_multi_level_round_trip_model_has_multi_level_equations(capsys, tmp_path):
+    path = tmp_path / "m.model"
+    path.write_text(serialize_model(ROUND_TRIP_MODELS["k4_pendants_levels3"]))
+    code, out, _ = run_cli(capsys, "classify", str(path))
+    assert code == 2
+    terms = [t for eq in json.loads(out)["singular_system"]["equations"] for t in eq["terms"]]
+    assert any(":" in t for t in terms)
+
+
+def test_classify_builds_no_param_index(monkeypatch, capsys):
+    # classify prints p from param_count; only the numeric commands build the index
+    calls = []
+    original = build_param_index
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("latident") and getattr(module, "build_param_index", None) is original:
+            monkeypatch.setattr(module, "build_param_index", counted)
+    for name in ("path5", "k4_pendants", "triangle_isolated"):
+        code, out, _ = run_cli(capsys, "classify", model_path(name))
+        assert json.loads(out)["p"] == original(load_model(name)).p
+    assert calls == []
+    run_cli(capsys, "verify", model_path("path5"), "--trials", "1")
+    assert len(calls) == 1
 
 
 def test_locus_on_identified_model(capsys):

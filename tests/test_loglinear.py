@@ -1,4 +1,6 @@
+import json
 import math
+import random
 from itertools import combinations
 
 import numpy as np
@@ -15,7 +17,9 @@ from latident import (
     numeric_rank,
 )
 
-from conftest import FIXTURE_NAMES, load_model
+from latident.loglinear import param_count
+
+from conftest import FIXTURE_NAMES, hidden_over_all_graphs, load_model
 
 SINGLE_EDGE = LatentModel.binary(Graph.from_edges(2, [(0, 1)]))
 
@@ -184,3 +188,36 @@ def test_marginalization_matrix_structure(name):
     assert l_mat.shape == (l, 2 * l)
     assert np.array_equal(l_mat.sum(axis=1), np.full(l, 2.0))
     assert np.array_equal(l_mat @ np.ones(2 * l), np.full(l, 2.0))
+
+
+def _random_models(count: int, seed: int):
+    """Seeded models on 3..8 observed nodes: the hidden node misses some of
+    them (T1 nodes) and some nodes take 3 or 4 levels."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 8)
+        s_nodes = rng.sample(range(1, n + 1), rng.randint(1, n - 1))
+        observed = [pr for pr in combinations(range(1, n + 1), 2) if rng.random() < 0.5]
+        levels = (2, *(rng.choice((2, 2, 3, 4)) for _ in range(n)))
+        yield LatentModel(Graph.from_edges(n + 1, [(0, v) for v in s_nodes] + observed), levels)
+
+
+def test_param_count_matches_index():
+    models = [
+        *map(LatentModel.binary, hidden_over_all_graphs()),
+        *map(load_model, FIXTURE_NAMES),
+        *MULTI_LEVEL_MODELS.values(),
+        *_random_models(200, seed=5),
+    ]
+    assert len(models) == 1099 + 6 + len(MULTI_LEVEL_MODELS) + 200
+    assert sum(len(set(m.levels)) > 1 for m in models) > 150
+    for m in models:
+        assert param_count(m) == build_param_index(m).p, m
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + list(MULTI_LEVEL_MODELS))
+def test_coordinate_names_are_their_own_json_strings(name):
+    # the report writer prints a name's JSON string as the name in quotes
+    m = MULTI_LEVEL_MODELS.get(name) or load_model(name)
+    for coordinate in build_param_index(m).names():
+        assert json.dumps(coordinate) == f'"{coordinate}"'
