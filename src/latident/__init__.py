@@ -27,7 +27,6 @@ from .identify import (
     classify,
     find_generalized_sequence,
     find_identifying_sequence,
-    latent_class_check,
     latent_partition,
 )
 from .loglinear import (
@@ -54,7 +53,7 @@ from .singular import (
     locus_equations_for_set,
     sample_on_subspace,
 )
-from .cli import parse_model, serialize_model
+from .cli import parse_model
 
 __all__ = [
     "DimensionMismatchError",
@@ -87,7 +86,6 @@ __all__ = [
     "generic_rank",
     "induced_subgraph",
     "jacobian",
-    "latent_class_check",
     "latent_partition",
     "locus_equations_for_set",
     "marginalization_matrix",
@@ -98,5 +96,4 @@ __all__ = [
     "rank_on_system",
     "sample_beta",
     "sample_on_subspace",
-    "serialize_model",
 ]

@@ -110,17 +110,6 @@ def parse_model(source: str | IO[str]) -> LatentModel:
     return LatentModel(Graph(node_count, frozenset(edges)), level_tuple)
 
 
-def serialize_model(m: LatentModel) -> str:
-    """Canonical text form; parse_model(serialize_model(m)) reproduces m."""
-    lines = [f"nodes {m.graph.node_count}"]
-    for v, l in enumerate(m.levels):
-        if l != 2:
-            lines.append(f"levels {v}={l}")
-    for i, j in sorted(m.graph.edges):
-        lines.append(f"edge {i} {j}")
-    return "\n".join(lines) + "\n"
-
-
 def _nodes(ns) -> list[int]:
     return sorted(ns)
 

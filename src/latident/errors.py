@@ -28,11 +28,11 @@ class NotApplicableError(LatidentError):
 
 
 class InconsistentSystemError(LatidentError):
-    """A singular system cannot be sampled by back-substitution.
+    """A singular system has no sampled point with every coordinate nonzero.
 
-    Two equations designate one coordinate, an equation designates a coordinate
-    that one solved before it read, a coordinate is not in the parameter index,
-    or every draw leaves a solved coordinate within 1e-6 of zero.
+    A coordinate is not in the parameter index, elimination reduces an equation
+    to a single coordinate (which is then forced to zero), or every draw leaves
+    a solved coordinate within 1e-6 of zero.
     """
 
 

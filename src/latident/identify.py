@@ -264,13 +264,6 @@ def _shortest_chain(
     return SequenceCert(tuple(chain), kind)
 
 
-def latent_class_check(n: int) -> bool:
-    """Identifiability of the pure latent-class model with n observed variables."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return n >= 3
-
-
 def classify(m: LatentModel) -> Verdict:
     """Classify the model by the two graph conditions on the observed subgraph.
 

@@ -86,9 +86,6 @@ class ParamEntry:
         ]
         return "b{" + ",".join(parts) + "}"
 
-    def sort_key(self) -> tuple:
-        return (len(self.nodes), self.nodes, self.levels)
-
 
 @dataclass(frozen=True)
 class ParamIndex:

@@ -79,6 +79,8 @@ def _cell_means(
         raise DimensionMismatchError(
             f"beta has shape {beta.shape}, expected ({idx.p},)"
         )
+    if not np.all(np.isfinite(beta)):
+        raise ValidationError("beta has non-finite coordinates")
     z = _design(m, idx)
     eta = z @ beta
     if np.max(np.abs(eta)) > SAFE_EXPONENT:

@@ -3,10 +3,9 @@
 The boundary system: each complete set with no plain identifying sequence gets
 one equation per complete subset of its complement boundary, expanded per level
 combination.  Every equation is a sum of hidden-node interaction coordinates
-set to zero.  Its terms come in column order and the first is designated: the
-other terms' subsets strictly contain the designated one, so solving the
-equations from the highest designated column down sets each designated
-coordinate from coordinates that are already final (back-substitution).
+set to zero, its terms in column order.  Equations may share coordinates and
+may depend on each other; `sample_on_subspace` solves any such system by exact
+elimination over its integer rows.
 
 A model's system is built from the observed context that `classify` already
 holds (G_S, the subgraph on the hidden node's neighbours, its complement and the
@@ -59,15 +58,11 @@ class SingularEquation:
     """Sum of the listed coordinates equals zero; all coefficients are +1.
 
     Every term's subset contains the hidden node.  The terms come in column
-    order, and the first, `designated`, is the one a sampler solves for.
+    order.
     """
 
     terms: tuple[ParamEntry, ...]
     source: EquationSource
-
-    @property
-    def designated(self) -> ParamEntry:
-        return self.terms[0]
 
     def render(self) -> str:
         return " + ".join(t.name for t in self.terms) + " = 0"
@@ -96,7 +91,7 @@ class _Coordinates(dict):
     Maps a term mask (local ids of G_S) with every level at 1, or a pair (mask,
     levels) otherwise, to (entry, sort key), building each on first lookup.  The
     sort key is the mask's rank in `_complete_masks(g_s)`, then the levels:
-    node_map is ascending, so it orders entries as `ParamEntry.sort_key` does.
+    node_map is ascending, so it orders entries as `build_param_index` does.
     """
 
     def __init__(self, m: LatentModel, g_s: Graph, node_map: tuple[int, ...]):
@@ -122,8 +117,8 @@ def _expand_equation(
 
     `term_masks` (observed parts, local ids of G_S) come in (size, lexicographic)
     order, which adding the hidden node keeps, so the terms need no sort; the
-    first one is designated and the last is the union of all.  An equation over
-    binary nodes only is a single equation at level 1 throughout.
+    last one is the union of all.  An equation over binary nodes only is a
+    single equation at level 1 throughout.
     """
     multi = _bits(term_masks[-1] & coords.multi)
     if not multi:
@@ -146,8 +141,7 @@ def locus_equations_for_set(m: LatentModel, i0: NodeSet) -> list[SingularEquatio
 
     For every complete subset V0 of the complement boundary of i0: the
     coordinate of {0, V0} plus the coordinates of {0, I, V0} over the nonempty
-    subsets I of i0 keeping V0 union I complete sum to zero.  The {0, V0} term
-    is designated.
+    subsets I of i0 keeping V0 union I complete sum to zero.
     """
     i0 = frozenset(i0)
     g_s, node_map = induced_subgraph(m.graph, latent_partition(m)[0])
@@ -218,41 +212,44 @@ def full_system(m: LatentModel) -> SingularSystem:
 def sample_on_subspace(sys: SingularSystem, idx: ParamIndex, seed) -> np.ndarray:
     """A parameter point with all coordinates nonzero satisfying every equation.
 
-    Free coordinates follow the standard sampling law.  The equations are solved
-    by back-substitution, from the highest designated column down: each sets its
-    designated coordinate to minus the sum of its other terms, taken in term
-    order.  Raises InconsistentSystemError when an equation would set a column
-    an equation solved before it set or read; resamples, up to a cap, whenever a
-    solved coordinate lands within 1e-6 of zero.
+    Free coordinates follow the standard sampling law.  The equations are
+    brought to echelon form by exact integer elimination: each row's lowest
+    column is eliminated against the row pivoting on it, until the row is empty
+    (dependent, dropped) or its lowest column is a new pivot.  Pivot columns are
+    solved from the highest down, each from its row's other columns in column
+    order; a row elimination never touched keeps every coefficient 1.  Raises
+    InconsistentSystemError when a row reduces to one column, which forces that
+    coordinate to zero; resamples, up to a cap, whenever a solved coordinate
+    lands within 1e-6 of zero.
     """
     from .numeric import sample_beta
 
     missing = [t for eq in sys.equations for t in eq.terms if t not in idx.lookup]
     if missing:
         raise InconsistentSystemError(f"coordinate {missing[0].name} is not in the parameter index")
-    eq_cols = [[idx.lookup[t] for t in eq.terms] for eq in sys.equations]
-    eq_cols.sort(key=lambda cols: cols[0], reverse=True)
-    was_set: dict[int, bool] = {}  # column an earlier equation used -> it set that column
-    for d, *others in eq_cols:
-        if d in was_set:
-            raise InconsistentSystemError(
-                "designated coordinates are not distinct across equations"
-                if was_set[d]
-                else f"coordinate {idx.entries[d].name} is set after an equation read it"
-            )
-        for c in others:
-            was_set.setdefault(c, False)
-        was_set[d] = True
+    pivots: dict[int, dict[int, int]] = {}  # lowest column -> its row, columns ascending
+    for eq in sys.equations:
+        row = dict.fromkeys(sorted(idx.lookup[t] for t in eq.terms), 1)
+        while row and (d := next(iter(row))) in pivots:
+            piv = pivots[d]
+            a, b = piv[d], row[d]  # a * row - b * piv, exact in Python ints
+            combined = ((c, a * row.get(c, 0) - b * piv.get(c, 0)) for c in sorted(row | piv))
+            row = {c: x for c, x in combined if x}
+        if len(row) == 1:
+            raise InconsistentSystemError(f"the equations force {idx.entries[d].name} to zero")
+        if row:
+            pivots[d] = row
+    rows = [list(pivots[d].items()) for d in sorted(pivots, reverse=True)]
     seed_key = list(seed) if isinstance(seed, (tuple, list)) else [seed]
 
     for attempt in range(100):
         beta = sample_beta(idx.p, seed_key + [attempt])
-        for d, *others in eq_cols:
+        for (d, a_d), *others in rows:
             value = 0.0
-            for c in others:
-                value -= beta[c]
-            beta[d] = value
-        if all(abs(beta[cols[0]]) > 1e-6 for cols in eq_cols):
+            for c, a in others:
+                value -= a * beta[c]
+            beta[d] = value / a_d
+        if all(abs(beta[row[0][0]]) > 1e-6 for row in rows):
             return beta
     raise InconsistentSystemError(
         "could not sample a point with all coordinates nonzero; "

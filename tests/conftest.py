@@ -25,6 +25,14 @@ def load_model(name: str) -> LatentModel:
     return parse_model(model_path(name))
 
 
+def model_text(m: LatentModel) -> str:
+    """Canonical model-file text; parse_model reads it back as m."""
+    lines = [f"nodes {m.graph.node_count}"]
+    lines += [f"levels {v}={l}" for v, l in enumerate(m.levels) if l != 2]
+    lines += [f"edge {i} {j}" for i, j in sorted(m.graph.edges)]
+    return "\n".join(lines) + "\n"
+
+
 def star_model(n: int) -> LatentModel:
     """Pure latent-class model: hidden node adjacent to n otherwise isolated nodes."""
     return LatentModel.binary(

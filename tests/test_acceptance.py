@@ -23,7 +23,6 @@ from latident import (
     full_system,
     generic_rank,
     jacobian,
-    latent_class_check,
     maximal_cliques,
     mu_y,
     numeric_rank,
@@ -174,10 +173,8 @@ def test_criterion_05_two_complete_components_never_full_rank():
 def test_criterion_06_latent_class_threshold():
     with criterion(6, "latent-class stars: not identified below three observers"):
         assert classify(star_model(2)).status is Status.NOT_IDENTIFIED
-        assert not latent_class_check(2)
         for n in (3, 4, 5):
             m = star_model(n)
-            assert latent_class_check(n)
             assert classify(m).status is Status.IDENTIFIED_EVERYWHERE
             idx = build_param_index(m)
             assert generic_rank(m, trials=30, seed=0).rank == idx.p

@@ -17,11 +17,10 @@ from latident import (
     ValidationError,
     build_param_index,
     parse_model,
-    serialize_model,
 )
 from latident.cli import main
 
-from conftest import FIXTURE_NAMES, dense_model, load_model, model_path, star_model
+from conftest import FIXTURE_NAMES, dense_model, load_model, model_path, model_text, star_model
 
 
 def run_cli(capsys, *argv):
@@ -91,13 +90,13 @@ def test_parse_errors_carry_line_numbers():
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_round_trip_fixtures(name):
     m = load_model(name)
-    again = parse_model(io.StringIO(serialize_model(m)))
+    again = parse_model(io.StringIO(model_text(m)))
     assert again == m
 
 
 def test_round_trip_multi_level():
     m = LatentModel(load_model("path5").graph, (2, 3, 2, 2, 4, 2))
-    again = parse_model(io.StringIO(serialize_model(m)))
+    again = parse_model(io.StringIO(model_text(m)))
     assert again == m
 
 
@@ -290,6 +289,17 @@ def test_rank_command_rejects_zero_beta(tmp_path, capsys):
     assert "nonzero" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_rank_command_rejects_non_finite_beta(tmp_path, capsys, bad):
+    idx = build_param_index(load_model("path5"))
+    values = ["0.5"] * idx.p
+    values[3] = bad
+    beta_file = tmp_path / "beta.txt"
+    beta_file.write_text("\n".join(values))
+    code, out, err = run_cli(capsys, "rank", model_path("path5"), "--beta", str(beta_file))
+    assert (code, out, err) == (1, "", "error: beta has non-finite coordinates\n")
+
+
 def test_rank_command_rejects_wrong_dimension(tmp_path, capsys):
     beta_file = tmp_path / "beta.txt"
     beta_file.write_text("1.0 2.0 3.0")
@@ -350,7 +360,7 @@ def test_classify_report_matches_pinned_digest(tmp_path, monkeypatch, capsys):
     # the whole classify report of the 4,441-equation dense system, as
     # print(json.dumps(report, indent=2)) wrote it before reports were streamed
     monkeypatch.chdir(tmp_path)
-    pathlib.Path("dense12.model").write_text(serialize_model(dense_model(12)))
+    pathlib.Path("dense12.model").write_text(model_text(dense_model(12)))
     code, out, err = run_cli(capsys, "classify", "dense12.model")
     assert (code, err) == (2, "")
     digest = hashlib.sha256(out.encode()).hexdigest()
@@ -370,13 +380,13 @@ def test_report_is_canonical_json(tmp_path, capsys, name, command):
     # the streamed report is exactly json.dumps(indent=2) of what it parses to
     if name in ROUND_TRIP_MODELS:
         path = tmp_path / f"{name}.model"
-        path.write_text(serialize_model(ROUND_TRIP_MODELS[name]))
+        path.write_text(model_text(ROUND_TRIP_MODELS[name]))
     else:
         path = model_path(name)
     code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
     if code == 1:
-        # verify's on-subspace sampler raises InconsistentSystemError on the
-        # dense ladder; an error must leave no partial report behind
+        # the dense ladder's singular systems force a coordinate to zero, so
+        # verify's on-subspace sampler raises; an error leaves no partial report
         assert out == "" and err.startswith("error: ")
     else:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
@@ -384,7 +394,7 @@ def test_report_is_canonical_json(tmp_path, capsys, name, command):
 
 def test_multi_level_round_trip_model_has_multi_level_equations(capsys, tmp_path):
     path = tmp_path / "m.model"
-    path.write_text(serialize_model(ROUND_TRIP_MODELS["k4_pendants_levels3"]))
+    path.write_text(model_text(ROUND_TRIP_MODELS["k4_pendants_levels3"]))
     code, out, _ = run_cli(capsys, "classify", str(path))
     assert code == 2
     terms = [t for eq in json.loads(out)["singular_system"]["equations"] for t in eq["terms"]]
@@ -450,7 +460,7 @@ def test_rank_rejects_oversized_design_matrix(tmp_path, capsys, n):
     # numpy refuses both tables without allocating: 2^46 x 92 float64 cells
     # (46 PiB) at n = 45, and 72 axes (over its 64) at n = 70
     path = tmp_path / "star.model"
-    path.write_text(serialize_model(star_model(n)))
+    path.write_text(model_text(star_model(n)))
     code, out, err = run_cli(capsys, "rank", str(path))
     assert code == 1
     assert out == ""

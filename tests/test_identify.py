@@ -20,7 +20,6 @@ from latident import (
     find_generalized_sequence,
     find_identifying_sequence,
     induced_subgraph,
-    latent_class_check,
     latent_partition,
     maximal_cliques,
     complete_subsets,
@@ -269,13 +268,7 @@ def test_classify_covers_every_shape_hidden_adjacent_to_all():
     assert seen == 1099
 
 
-def test_latent_class_check_matches_classify():
-    assert not latent_class_check(1)
-    assert not latent_class_check(2)
-    assert latent_class_check(3)
-    assert latent_class_check(5)
-    with pytest.raises(ValueError):
-        latent_class_check(0)
+def test_latent_class_stars_need_three_observers():
     assert classify(star_model(2)).status is Status.NOT_IDENTIFIED
     for n in (3, 4, 5):
         assert classify(star_model(n)).status is Status.IDENTIFIED_EVERYWHERE

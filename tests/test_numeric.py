@@ -12,6 +12,7 @@ from latident import (
     ParamIndex,
     SingularSystem,
     Status,
+    ValidationError,
     build_param_index,
     classify,
     design_matrix,
@@ -74,6 +75,15 @@ def test_jacobian_dimension_mismatch():
     idx = build_param_index(SINGLE_EDGE)
     with pytest.raises(DimensionMismatchError):
         jacobian(SINGLE_EDGE, idx, np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fn", [jacobian, mu_y])
+def test_non_finite_beta_rejected(fn, bad):
+    # NaN compares False against the overflow bound, so it needs its own check
+    idx = build_param_index(SINGLE_EDGE)
+    with pytest.raises(ValidationError, match="beta has non-finite coordinates"):
+        fn(SINGLE_EDGE, idx, np.array([0.5, bad, 1.0, 1.0]))
 
 
 def test_jacobian_overflow_guard():

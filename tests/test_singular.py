@@ -1,4 +1,5 @@
 import hashlib
+from functools import cache
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from latident import (
     classify,
     full_system,
     generic_rank,
+    jacobian,
     locus_equations_for_set,
+    numeric_rank,
     rank_on_system,
     sample_on_subspace,
 )
@@ -151,7 +154,8 @@ def test_equation_terms_exist_in_param_index(triangle_pendants, k4_pendants):
     for m in (triangle_pendants, k4_pendants):
         idx = build_param_index(m)
         for eq in full_system(m).equations:
-            assert eq.designated in eq.terms
+            cols = [idx.lookup[t] for t in eq.terms]
+            assert cols == sorted(set(cols))  # column order: terms[0] is the lowest
             for term in eq.terms:
                 assert term in idx.lookup
                 assert 0 in term.nodes
@@ -193,27 +197,53 @@ def test_sample_on_subspace_deterministic(k4_pendants):
 
 
 def _toy_equation(*term_nodes):
-    """All-binary equation with the terms in the order given; the first is designated."""
+    """All-binary equation with the terms in the order given."""
     terms = tuple(ParamEntry(nodes, (1,) * len(nodes)) for nodes in term_nodes)
     return SingularEquation(terms=terms, source=EquationSource(frozenset(), frozenset()))
 
 
-def test_sample_on_subspace_rejects_duplicate_designated(path5):
+def _assert_on_system(beta, system, idx):
+    assert np.min(np.abs(beta)) > 1e-6
+    for eq in system.equations:
+        assert abs(sum(beta[idx.lookup[t]] for t in eq.terms)) < 1e-12
+
+
+def test_sample_on_subspace_eliminates_a_shared_lowest_column(path5):
+    # both equations have b{0,1} as their lowest column; elimination pivots
+    # the second on b{0,2,3}
     idx = build_param_index(path5)
     eq1 = _toy_equation((0, 1), (0, 1, 2))
     eq2 = _toy_equation((0, 1), (0, 2, 3))
-    with pytest.raises(InconsistentSystemError, match="designated coordinates are not distinct"):
-        sample_on_subspace(SingularSystem((eq1, eq2)), idx, 0)
+    system = SingularSystem((eq1, eq2))
+    for seed in range(3):
+        _assert_on_system(sample_on_subspace(system, idx, seed), system, idx)
 
 
-def test_sample_on_subspace_rejects_setting_a_column_already_read(path5):
-    # the second equation lists a lower column after its designated one, so it
-    # is solved first and reads b{0,1}, which the first equation then sets
+@pytest.mark.parametrize(
+    "term_lists, name",
+    [
+        ([[(0, 2, 3)]], r"b\{0,2,3\}"),
+        # b{0,1} + b{0,1,2} + b{0,2} minus the first equation leaves b{0,2}
+        ([[(0, 1), (0, 1, 2)], [(0, 1), (0, 1, 2), (0, 2)]], r"b\{0,2\}"),
+    ],
+)
+def test_sample_on_subspace_rejects_a_forced_zero(path5, term_lists, name):
     idx = build_param_index(path5)
-    eq1 = _toy_equation((0, 1), (0, 1, 2))
-    eq2 = _toy_equation((0, 2, 3), (0, 1))
-    with pytest.raises(InconsistentSystemError, match=r"b\{0,1\} is set after an equation read it"):
-        sample_on_subspace(SingularSystem((eq1, eq2)), idx, 0)
+    system = SingularSystem(tuple(_toy_equation(*terms) for terms in term_lists))
+    with pytest.raises(InconsistentSystemError, match=rf"^the equations force {name} to zero$"):
+        sample_on_subspace(system, idx, 0)
+
+
+def test_sample_on_subspace_ignores_term_order(path5):
+    idx = build_param_index(path5)
+    in_order = [[(0, 1), (0, 1, 2), (0, 2, 3)], [(0, 1), (0, 3, 4)], [(0, 2), (0, 4, 5)]]
+    systems = [
+        SingularSystem(tuple(_toy_equation(*terms) for terms in term_lists))
+        for term_lists in (in_order, [terms[::-1] for terms in in_order])
+    ]
+    for seed in range(3):
+        ordered, reversed_ = (sample_on_subspace(s, idx, seed).tobytes() for s in systems)
+        assert ordered == reversed_
 
 
 def test_sample_on_subspace_ignores_equation_order(k4_pendants):
@@ -244,13 +274,15 @@ def test_multi_level_expansion_splits_per_level():
     assert on_sub.unanimous
 
 
-def test_multi_level_shared_designated_is_reported():
+def test_multi_level_shared_lowest_column_drops_rank():
+    # node 5 at 3 levels: two equations share their lowest column b{0,5}
     base = load_model("triangle_pendants")
     m = LatentModel(base.graph, (2, 2, 2, 2, 2, 3, 2))
     system = full_system(m)
-    idx = build_param_index(m)
-    with pytest.raises(InconsistentSystemError):
-        sample_on_subspace(system, idx, 0)
+    assert generic_rank(m, trials=20, seed=0).rank == build_param_index(m).p == 38
+    on_sub = rank_on_system(m, system, trials=20, seed=0)
+    assert on_sub.rank < 38
+    assert on_sub.unanimous
 
 
 def test_t1_extension_keeps_s_restricted_system(triangle_pendants):
@@ -264,7 +296,7 @@ def test_t1_extension_keeps_s_restricted_system(triangle_pendants):
     assert rank_on_system(m, verdict.singular_system, trials=20, seed=0).rank == 29
 
 
-# sha256 over each equation's text, designated name and source, for every
+# sha256 over each equation's text, first term's name and source, for every
 # system; pinned from the implementation that sorted each equation's terms
 # (dense12 and dense9_3lev from the one that filtered every complete subset
 # against each boundary and built one ParamEntry per term occurrence).
@@ -303,11 +335,11 @@ def _digest_model(name):
 
 def _hash_equations(h, equations):
     for eq in equations:
-        keys = [t.sort_key() for t in eq.terms]
+        keys = [(len(t.nodes), t.nodes, t.levels) for t in eq.terms]
         assert keys == sorted(keys)
         src = eq.source
         h.update(
-            f"{eq.render()}|{eq.designated.name}|{src.kind}|"
+            f"{eq.render()}|{eq.terms[0].name}|{src.kind}|"
             f"{sorted(src.base_set)}|{sorted(src.other_set)}\n".encode()
         )
 
@@ -343,12 +375,13 @@ def test_exhaustive_singular_systems_match_pinned_digest():
     )
 
 
-def test_exhaustive_samples_match_pinned_digest():
-    # the same 478 systems; per system and t = 0, 1, 2 the bytes of the point
-    # drawn with seed (0, t) or the InconsistentSystemError message, pinned
-    # from the sampler that solved one d x d system per attempt
-    h = hashlib.sha256()
-    messages = set()
+@cache
+def _exhaustive_groups():
+    """The 478 systems above as (model, system, index) triples, grouped by shape:
+    "forced_zero" holds a single-term equation, "distinct" has pairwise distinct
+    lowest columns (the systems back-substitution could sample) and "shared"
+    is the rest."""
+    groups = {"distinct": [], "shared": [], "forced_zero": []}
     for g in hidden_over_all_graphs():
         binary = (2,) * g.node_count
         for levels in (binary, (2, 3) + binary[2:]):
@@ -356,12 +389,48 @@ def test_exhaustive_samples_match_pinned_digest():
             system = classify(m).singular_system
             if system is None:
                 continue
-            idx = build_param_index(m)
-            for t in range(3):
-                try:
-                    h.update(sample_on_subspace(system, idx, (0, t)).tobytes())
-                except InconsistentSystemError as exc:
-                    messages.add(str(exc))
-                    h.update(str(exc).encode())
-    assert messages == {"designated coordinates are not distinct across equations"}
-    assert h.hexdigest() == "07a9e1a34e514a7a45fdb0fb021393fa0db7353ae49d111c4e948828ed4cdf52"
+            eqs = system.equations
+            if any(len(eq.terms) == 1 for eq in eqs):
+                group = "forced_zero"
+            elif len({eq.terms[0] for eq in eqs}) == len(eqs):
+                group = "distinct"
+            else:
+                group = "shared"
+            groups[group].append((m, system, build_param_index(m)))
+    return groups
+
+
+def test_exhaustive_samples_match_pinned_digest():
+    # per system with distinct lowest columns and t = 0, 1, 2 the bytes of the
+    # point drawn with seed (0, t), pinned from the back-substitution sampler
+    h = hashlib.sha256()
+    systems = _exhaustive_groups()["distinct"]
+    for _, system, idx in systems:
+        for t in range(3):
+            h.update(sample_on_subspace(system, idx, (0, t)).tobytes())
+    assert (len(systems), h.hexdigest()) == (
+        262,
+        "b76398d0327f7404a8837cf7854f8b0753372c342bdc76cf68f33b1e434c0177",
+    )
+
+
+def test_exhaustive_shared_column_systems_drop_rank():
+    # back-substitution raised on every one of these; each point now lies on
+    # the system, has every coordinate nonzero and drops the Jacobian rank
+    systems = _exhaustive_groups()["shared"]
+    assert len(systems) == 196
+    for m, system, idx in systems:
+        for t in range(3):
+            beta = sample_on_subspace(system, idx, (0, t))
+            _assert_on_system(beta, system, idx)
+            assert numeric_rank(jacobian(m, idx, beta)).rank < idx.p
+
+
+def test_exhaustive_forced_zero_systems_raise():
+    # a single-term equation b{0,V0} = 0 comes from a V0 with no anchored node
+    systems = _exhaustive_groups()["forced_zero"]
+    assert sorted(max(m.levels) for m, _, _ in systems) == [2] * 10 + [3] * 10
+    message = r"^the equations force b\{[0-9,:]+\} to zero$"
+    for _, system, idx in systems:
+        with pytest.raises(InconsistentSystemError, match=message):
+            sample_on_subspace(system, idx, (0, 0))
