@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DimensionMismatchError, LatidentError, ParseError, ValidationError
 from .graph import Graph, NodeSet
 from .identify import Status, Verdict, classify
-from .loglinear import LatentModel, ParamIndex, build_param_index, param_count
+from .loglinear import LatentModel, ParamIndex, build_param_index, design_cells, param_count
 from .numeric import RankReport, generic_rank, jacobian, numeric_rank, rank_on_system, sample_beta
 from .singular import SingularSystem
 
@@ -167,11 +167,11 @@ def _write_system(write, system: SingularSystem) -> None:
     json.dumps(..., indent=2) gives it as the value of a top-level key.
 
     Each term's name is read once; its JSON string is the name in quotes (see
-    ParamEntry.name).  Each distinct source set is encoded once.
+    ParamEntry.name).  Each distinct source set and boundary subset is encoded once.
     """
-    encoded: dict[NodeSet, str] = {}
+    encoded: dict[NodeSet | tuple[int, ...], str] = {}
 
-    def node_list(ns: NodeSet) -> str:
+    def node_list(ns: NodeSet | tuple[int, ...]) -> str:
         text = encoded.get(ns)
         if text is None:
             items = ",\n".join(f"          {v}" for v in _nodes(ns))
@@ -185,14 +185,13 @@ def _write_system(write, system: SingularSystem) -> None:
     for eq in equations:
         names = list(map(names_of, eq.terms))
         text = " + ".join(names)
-        src = eq.source
         write(
             f'{sep}      {{\n        "text": "{text} = 0",\n'
             f'        "terms": [\n          "{_TERM_SEP.join(names)}"\n        ],\n'
             f'        "designated": "{names[0]}",\n'
-            f'        "source_kind": {json.dumps(src.kind)},\n'
-            f'        "source_set": {node_list(src.base_set)},\n'
-            f'        "source_boundary_subset": {node_list(src.other_set)}\n      }}'
+            f'        "source_kind": "boundary",\n'
+            f'        "source_set": {node_list(eq.source_set)},\n'
+            f'        "source_boundary_subset": {node_list(eq.terms[0].nodes[1:])}\n      }}'
         )
         sep = ",\n"
     write("\n    ]" if equations else "]")
@@ -250,6 +249,7 @@ def cmd_verify(path: str, trials: int, seed: int, tol: float | None) -> int:
     _check_seed_tol(seed, tol)
     m = parse_model(path)
     verdict = classify(m)
+    design_cells(m, param_count(m))  # refuses an oversized design before the index is built
     idx = build_param_index(m)
     generic = generic_rank(m, trials=trials, seed=seed, idx=idx, tol=tol)
     on_system = None
@@ -314,6 +314,7 @@ def _load_beta(path: str, idx: ParamIndex) -> np.ndarray:
 def cmd_rank(path: str, beta_path: str | None, seed: int, tol: float | None) -> int:
     _check_seed_tol(seed, tol)
     m = parse_model(path)
+    design_cells(m, param_count(m))  # refuses an oversized design before the index is built
     idx = build_param_index(m)
     if beta_path is not None:
         beta = _load_beta(beta_path, idx)

@@ -121,29 +121,28 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, 
 def maximal_cliques(g: Graph) -> list[NodeSet]:
     """All maximal cliques, each sorted ascending, listed in lexicographic order.
 
-    Bron-Kerbosch with pivoting; the pivot is always the lowest id in P | X so
-    the recursion (and hence the output before the final sort) is deterministic.
+    Bron-Kerbosch with pivoting (the pivot is the lowest id in P | X) on an
+    explicit stack of sub-problems, so a clique of any size costs no recursion.
     """
     if g.node_count == 0:
         return []
     adj = g.adjacency_masks
     out: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
+    stack = [(0, (1 << g.node_count) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
         if p == 0 and x == 0:
             out.append(r)
-            return
+            continue
         pivot = ((p | x) & -(p | x)).bit_length() - 1
         cand = p & ~adj[pivot]
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
-            expand(r | low, p & adj[v], x & adj[v])
+            stack.append((r | low, p & adj[v], x & adj[v]))
             p &= ~low
             x |= low
             cand ^= low
-
-    expand(0, (1 << g.node_count) - 1, 0)
     return sorted((_set_of(m) for m in out), key=lambda s: tuple(sorted(s)))
 
 

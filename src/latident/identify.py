@@ -302,8 +302,8 @@ def classify(m: LatentModel) -> Verdict:
             from .singular import _singular_system
 
             status = Status.GENERICALLY_IDENTIFIED
-            failing = _failing_masks(g_s)
-            failing_sets = [in_model(_bits(c)) for c in failing]
+            failing = {c: in_model(_bits(c)) for c in _failing_masks(g_s)}
+            failing_sets = list(failing.values())
             system = _singular_system(m, g_s, node_map, comp_s, failing)
     return Verdict(
         status=status,

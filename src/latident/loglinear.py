@@ -131,23 +131,28 @@ def param_count(m: LatentModel) -> int:
     return 1 + sum(math.prod([less[v] for v in _bits(c & multi)]) for c in found)
 
 
+def design_cells(m: LatentModel, p: int) -> np.ndarray:
+    """The zeroed (2, l1, ..., ln, p) cell array of the design matrix; raises
+    ValidationError naming the shape (2l, p) when numpy cannot allocate it."""
+    try:
+        return np.zeros((2, *m.levels[1:], p))
+    except (ValueError, MemoryError):  # too many axes, or too many cells to allocate
+        raise ValidationError(
+            f"design matrix of shape ({2 * m.table_size}, {p}) is too large"
+        ) from None
+
+
 def design_matrix(m: LatentModel, idx: ParamIndex) -> np.ndarray:
     """Corner-point 0/1 design matrix, shape (2l, p), C-contiguous float64.
 
     Entry (cell, (I, combo)) is 1 iff the cell's level of every v in I equals
     the combo's level for v; the empty-set column is all ones.  Column j is
-    filled as one grid slice of the (2, l1, ..., ln, p) cell array: the axes of
-    the nodes in I are fixed at the combo's levels, every other axis is free.
+    filled as one grid slice of the `design_cells` array: the axes of the nodes
+    in I are fixed at the combo's levels, every other axis is free.
     """
-    dims = (2,) + tuple(m.levels[1:])
-    try:
-        z = np.zeros(dims + (idx.p,))
-    except (ValueError, MemoryError):  # too many axes, or too many cells to allocate
-        raise ValidationError(
-            f"design matrix of shape ({2 * m.table_size}, {idx.p}) is too large"
-        ) from None
+    z = design_cells(m, idx.p)
     for j, e in enumerate(idx.entries):
-        cell: list = [slice(None)] * len(dims)
+        cell: list = [slice(None)] * (z.ndim - 1)
         for v, level in zip(e.nodes, e.levels):
             cell[v] = level
         z[(*cell, j)] = 1.0

@@ -14,9 +14,10 @@ until the equations are built.  For each failing set only the complete subsets
 inside its boundary are enumerated, by the grow search of `graph`; the boundary
 equation of V0 is fixed by the int pair (V0, anchored), so equations are
 deduplicated on that pair, first failing set kept as source, before they are
-expanded.  A system builds one ParamEntry per distinct coordinate, which every
-equation holding it shares, and sorts the equations once, on keys computed once
-per coordinate.
+expanded.  An equation records only its terms and that source set: V0 is its
+smallest term.  A system builds one ParamEntry per distinct coordinate, which
+every equation holding it shares, and sorts the equations once, on each
+coordinate's (size, subset, levels) key, the parameter index's column order.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .graph import (
     Graph,
     NodeSet,
     _bits,
-    _complete_masks,
     _complete_within,
     _mask_of,
     _neighborhood,
@@ -45,24 +45,20 @@ from .loglinear import LATENT, LatentModel, ParamEntry, ParamIndex
 
 
 @dataclass(frozen=True)
-class EquationSource:
-    """Where an equation came from: a failing set and the boundary subset V0."""
-
-    kind = "boundary"  # the one generator; reports print it as source_kind
-    base_set: NodeSet
-    other_set: NodeSet
-
-
-@dataclass(frozen=True)
 class SingularEquation:
     """Sum of the listed coordinates equals zero; all coefficients are +1.
 
     Every term's subset contains the hidden node.  The terms come in column
-    order.
+    order, so the first is {0} | V0, V0 the boundary subset the equation was
+    built for; `source_set` is the failing set it came from.
     """
 
     terms: tuple[ParamEntry, ...]
-    source: EquationSource
+    source_set: NodeSet
+
+    @property
+    def boundary_subset(self) -> NodeSet:
+        return frozenset(self.terms[0].nodes[1:])
 
     def render(self) -> str:
         return " + ".join(t.name for t in self.terms) + " = 0"
@@ -90,27 +86,25 @@ class _Coordinates(dict):
 
     Maps a term mask (local ids of G_S) with every level at 1, or a pair (mask,
     levels) otherwise, to (entry, sort key), building each on first lookup.  The
-    sort key is the mask's rank in `_complete_masks(g_s)`, then the levels:
-    node_map is ascending, so it orders entries as `build_param_index` does.
+    sort key is (len(nodes), nodes, levels), the order of `build_param_index`.
     """
 
-    def __init__(self, m: LatentModel, g_s: Graph, node_map: tuple[int, ...]):
+    def __init__(self, m: LatentModel, node_map: tuple[int, ...]):
         super().__init__()
         self.node_map = node_map
         self.levels = [m.levels[v] for v in node_map]
         self.multi = _mask_of(i for i, l in enumerate(self.levels) if l > 2)
-        self.rank = {c: r for r, c in enumerate(_complete_masks(g_s))}
 
     def __missing__(self, key: int | tuple[int, tuple[int, ...]]) -> tuple[ParamEntry, tuple]:
         mask, levels = key if isinstance(key, tuple) else (key, None)
         nodes = (LATENT, *(self.node_map[v] for v in _bits(mask)))
         levels = levels or (1,) * len(nodes)
-        hit = self[key] = (ParamEntry(nodes, levels), (self.rank[mask], levels))
+        hit = self[key] = (ParamEntry(nodes, levels), (len(nodes), nodes, levels))
         return hit
 
 
 def _expand_equation(
-    coords: _Coordinates, term_masks: list[int], source: EquationSource
+    coords: _Coordinates, term_masks: list[int], source_set: NodeSet
 ) -> list[tuple[tuple, SingularEquation]]:
     """One equation per level combination of the multi-level nodes involved,
     each with its terms' sort keys.
@@ -123,7 +117,7 @@ def _expand_equation(
     multi = _bits(term_masks[-1] & coords.multi)
     if not multi:
         entries, keys = zip(*map(coords.__getitem__, term_masks))
-        return [(keys, SingularEquation(entries, source))]
+        return [(keys, SingularEquation(entries, source_set))]
     out = []
     for combo in product(*(range(1, coords.levels[v]) for v in multi)):
         level_of = dict(zip(multi, combo))
@@ -132,7 +126,7 @@ def _expand_equation(
             levels = (1, *(level_of.get(v, 1) for v in _bits(t)))
             pairs.append(coords[(t, levels) if max(levels) > 1 else t])
         entries, keys = zip(*pairs)
-        out.append((keys, SingularEquation(entries, source)))
+        out.append((keys, SingularEquation(entries, source_set)))
     return out
 
 
@@ -155,13 +149,15 @@ def locus_equations_for_set(m: LatentModel, i0: NodeSet) -> list[SingularEquatio
         raise NotApplicableError(
             f"{sorted(i0)} has an identifying sequence; no locus equations apply"
         )
-    return list(_singular_system(m, g_s, node_map, complement(g_s), [c_mask]).equations)
+    return list(_singular_system(m, g_s, node_map, complement(g_s), {c_mask: i0}).equations)
 
 
 def _singular_system(
-    m: LatentModel, g_s: Graph, node_map: tuple[int, ...], comp_s: Graph, failing: list[int]
+    m: LatentModel, g_s: Graph, node_map: tuple[int, ...], comp_s: Graph,
+    failing: dict[int, NodeSet],
 ) -> SingularSystem:
-    """Boundary equations of the failing sets (bitmasks of G_S's local ids).
+    """Boundary equations of the failing sets (bitmasks of G_S's local ids, each
+    mapped to its node set in model ids, the source set of its equations).
 
     A failing set C has one equation per complete subset V0 of its complement
     boundary, with terms {V0 | I : I <= anchored}, where anchored holds the nodes
@@ -174,20 +170,18 @@ def _singular_system(
     """
     adj = g_s.adjacency_masks
     first: dict[tuple[int, int], NodeSet] = {}
-    for c_mask in failing:
-        base_set = frozenset(node_map[v] for v in _bits(c_mask))
+    for c_mask, source_set in failing.items():
         bd_mask = _neighborhood(comp_s.adjacency_masks, c_mask) & ~c_mask
         for v0 in _complete_within(adj, bd_mask):
             anchored = c_mask
             for v in _bits(v0):
                 anchored &= adj[v]
-            first.setdefault((v0, anchored), base_set)
-    coords = _Coordinates(m, g_s, node_map)
+            first.setdefault((v0, anchored), source_set)
+    coords = _Coordinates(m, node_map)
     keyed: list[tuple[tuple, SingularEquation]] = []
-    for (v0, anchored), base_set in first.items():
-        source = EquationSource(base_set, frozenset(node_map[v] for v in _bits(v0)))
+    for (v0, anchored), source_set in first.items():
         terms = [v0 | extra for extra in _subsets(anchored)]
-        keyed.extend(_expand_equation(coords, terms, source))
+        keyed.extend(_expand_equation(coords, terms, source_set))
     keyed.sort(key=itemgetter(0))
     return SingularSystem(equations=tuple(eq for _, eq in keyed))
 

@@ -468,6 +468,22 @@ def test_rank_rejects_oversized_design_matrix(tmp_path, capsys, n):
     assert f", {2 * n + 2}) is too large" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "rank"])
+def test_oversized_design_is_refused_before_the_index(tmp_path, capsys, monkeypatch, command):
+    # K3 with two 800-level nodes: p = 2 * 800 * 800 entries, which the index
+    # would build (seconds, hundreds of MB) before the design matrix is refused
+    path = tmp_path / "k3_800.model"
+    path.write_text("nodes 3\nlevels 1=800\nlevels 2=800\nedge 0 1\nedge 0 2\nedge 1 2\n")
+
+    def no_index(m):
+        raise AssertionError("the parameter index was built")
+
+    monkeypatch.setattr("latident.cli.build_param_index", no_index)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: design matrix of shape (1280000, 1280000) is too large\n"
+
+
 def test_non_utf8_model_file_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "latin1.model"
     path.write_bytes(b"nodes 3\nedge 0 1\n\xff\n")

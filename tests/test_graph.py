@@ -78,6 +78,14 @@ def test_maximal_cliques_of_edgeless_graph():
     assert [set(c) for c in maximal_cliques(g)] == [{0}, {1}, {2}, {3}]
 
 
+def test_maximal_cliques_of_large_complete_graph_and_its_complement():
+    # one clique of 1,100 nodes: as deep as Bron-Kerbosch goes, and over
+    # Python's default recursion limit
+    k = Graph(1100, frozenset(combinations(range(1100), 2)))
+    assert maximal_cliques(k) == [frozenset(range(1100))]
+    assert maximal_cliques(complement(k)) == [frozenset({v}) for v in range(1100)]
+
+
 def test_maximal_cliques_properties_random():
     rng = random.Random(1)
     for _ in range(30):

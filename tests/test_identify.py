@@ -274,6 +274,14 @@ def test_latent_class_stars_need_three_observers():
         assert classify(star_model(n)).status is Status.IDENTIFIED_EVERYWHERE
 
 
+def test_star_with_1100_observers_is_identified_everywhere():
+    # G_S is edgeless, so its complement is K_1100: the complement 3-clique is
+    # one maximal clique of all 1,100 nodes
+    verdict = classify(star_model(1100))
+    assert verdict.status is Status.IDENTIFIED_EVERYWHERE
+    assert verdict.m_clique == frozenset(range(1, 1101))
+
+
 def test_equivalence_of_sequence_notions_random_seven_nodes():
     # clique-level generalized sequences exist iff plain sequences exist for
     # every complete subset; spot-checked here on random 7-node graphs

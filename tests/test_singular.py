@@ -21,7 +21,7 @@ from latident import (
     sample_on_subspace,
 )
 from latident import singular
-from latident.singular import EquationSource, SingularEquation
+from latident.singular import SingularEquation
 from latident.loglinear import ParamEntry
 
 from conftest import FIXTURE_NAMES, dense_model, hidden_over_all_graphs, load_model
@@ -122,12 +122,13 @@ def test_equal_coordinates_are_one_shared_entry():
 
 
 def test_full_system_sources_are_failing_sets(k4_pendants):
-    system = full_system(k4_pendants)
-    verdict = classify(k4_pendants)
-    failing = set(verdict.failing_sets)
-    for eq in system.equations:
-        assert eq.source.kind == "boundary"
-        assert eq.source.base_set in failing
+    # each failing set is built once: an equation's source set is the very
+    # object the verdict lists
+    for m in (k4_pendants, dense_model(10)):
+        verdict = classify(m)
+        failing_ids = {id(s) for s in verdict.failing_sets}
+        for eq in verdict.singular_system.equations:
+            assert id(eq.source_set) in failing_ids
 
 
 @pytest.mark.parametrize(
@@ -143,9 +144,11 @@ def test_full_system_is_union_over_failing_sets(model):
     first_seen = {}
     for s in verdict.failing_sets:
         for eq in locus_equations_for_set(model, s):
-            first_seen.setdefault(eq.render(), eq.source)
+            first_seen.setdefault(eq.render(), (eq.source_set, eq.boundary_subset))
     system = full_system(model)
-    assert {eq.render(): eq.source for eq in system.equations} == first_seen
+    assert {
+        eq.render(): (eq.source_set, eq.boundary_subset) for eq in system.equations
+    } == first_seen
     assert len(system.equations) == len(first_seen)
     assert system.equations == verdict.singular_system.equations
 
@@ -199,7 +202,7 @@ def test_sample_on_subspace_deterministic(k4_pendants):
 def _toy_equation(*term_nodes):
     """All-binary equation with the terms in the order given."""
     terms = tuple(ParamEntry(nodes, (1,) * len(nodes)) for nodes in term_nodes)
-    return SingularEquation(terms=terms, source=EquationSource(frozenset(), frozenset()))
+    return SingularEquation(terms=terms, source_set=frozenset())
 
 
 def _assert_on_system(beta, system, idx):
@@ -337,10 +340,9 @@ def _hash_equations(h, equations):
     for eq in equations:
         keys = [(len(t.nodes), t.nodes, t.levels) for t in eq.terms]
         assert keys == sorted(keys)
-        src = eq.source
         h.update(
-            f"{eq.render()}|{eq.terms[0].name}|{src.kind}|"
-            f"{sorted(src.base_set)}|{sorted(src.other_set)}\n".encode()
+            f"{eq.render()}|{eq.terms[0].name}|boundary|"
+            f"{sorted(eq.source_set)}|{sorted(eq.boundary_subset)}\n".encode()
         )
 
 
@@ -398,6 +400,32 @@ def _exhaustive_groups():
                 group = "shared"
             groups[group].append((m, system, build_param_index(m)))
     return groups
+
+
+def _assert_boundary_subsets(m, system):
+    # V0 checked against the graph, not against how it was built: a nonempty
+    # complete set of S outside the source set, each node of it with a
+    # non-neighbour in the source set
+    g = m.graph
+    s_nodes = classify(m).s_nodes
+    for eq in system.equations:
+        v0 = eq.boundary_subset
+        assert v0 and v0 <= s_nodes and g.is_complete_set(v0)
+        assert not v0 & eq.source_set
+        for v in v0:
+            assert any(not g.has_edge(v, c) for c in eq.source_set)
+
+
+def test_exhaustive_boundary_subsets_are_boundary_subsets():
+    systems = [t for group in _exhaustive_groups().values() for t in group]
+    assert len(systems) == 478
+    for m, system, _ in systems:
+        _assert_boundary_subsets(m, system)
+
+
+def test_dense_boundary_subsets_are_boundary_subsets():
+    m = dense_model(12)
+    _assert_boundary_subsets(m, classify(m).singular_system)
 
 
 def test_exhaustive_samples_match_pinned_digest():
