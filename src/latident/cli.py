@@ -107,7 +107,7 @@ def parse_model(source: str | IO[str]) -> LatentModel:
     if node_count is None:
         raise ParseError("missing nodes line", None)
     level_tuple = tuple(levels.get(v, 2) for v in range(node_count))
-    return LatentModel(Graph(node_count, frozenset(edges)), level_tuple)
+    return LatentModel(Graph.from_edges(node_count, edges), level_tuple)
 
 
 def _nodes(ns) -> list[int]:

@@ -1,16 +1,15 @@
 """Undirected-graph combinatorics: complements, cliques, complete subsets, components.
 
-Graphs are immutable values over contiguous node ids 0..node_count-1.  Node sets
-are exposed as frozensets; internally everything runs on integer bitmasks, which
-keeps the complete-subset lattice enumeration cheap at the scales this package
-targets (well under 63 nodes).
+A graph is its adjacency masks over node ids 0..n-1, Python ints of any width.
+`Graph(adj)` takes symmetric masks and checks only their range and self-bits;
+`Graph.from_edges` validates an edge list.  Node sets are exposed as frozensets;
+internally everything runs on bitmasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import Iterable
 
 NodeSet = frozenset[int]
@@ -48,56 +47,61 @@ def _neighborhood(adj: tuple[int, ...], mask: int) -> int:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; edges stored once as (i, j) with i < j."""
+    """Simple undirected graph: adj[v] is the bitmask of v's neighbours."""
 
-    node_count: int
-    edges: frozenset[tuple[int, int]]
+    adj: tuple[int, ...]
 
     def __post_init__(self):
-        if self.node_count < 0:
-            raise ValueError("node_count must be non-negative")
-        for i, j in self.edges:
-            if not (0 <= i < j < self.node_count):
-                raise ValueError(f"edge ({i},{j}) out of range or not canonical")
+        for v, mask in enumerate(self.adj):
+            if mask >> len(self.adj) or mask >> v & 1:
+                raise ValueError(f"node {v}: neighbour mask out of range or with a self-loop")
 
     @staticmethod
     def from_edges(node_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph, canonicalizing each pair to (min, max)."""
-        canon = set()
+        """Build a graph from (i, j) pairs in either order; a repeated pair counts once.
+
+        Raises ValueError on a negative node count, a self-loop or a node out of range.
+        """
+        if node_count < 0:
+            raise ValueError("node_count must be non-negative")
+        adj = [0] * node_count
         for i, j in edges:
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
-            canon.add((min(i, j), max(i, j)))
-        return Graph(node_count, frozenset(canon))
+            if not (0 <= i < node_count and 0 <= j < node_count):
+                raise ValueError(f"edge ({i},{j}) out of range")
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return Graph(tuple(adj))
+
+    @property
+    def node_count(self) -> int:
+        return len(self.adj)
 
     @cached_property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.node_count
-        for i, j in self.edges:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        return tuple(masks)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every edge once, as (i, j) with i < j."""
+        return frozenset(
+            (i, j) for i, mask in enumerate(self.adj) for j in _bits(mask >> i + 1 << i + 1)
+        )
 
     def neighbors(self, v: int) -> NodeSet:
-        return _set_of(self.adjacency_masks[v])
+        return _set_of(self.adj[v])
 
     def is_complete_set(self, nodes: Iterable[int]) -> bool:
-        """True when the nodes are pairwise adjacent (empty and singleton sets count)."""
-        ns = list(nodes)
-        return all(self.has_edge(i, j) for i, j in combinations(ns, 2))
+        """True when the nodes are pairwise adjacent (empty and singleton sets
+        count); False when some node is not in the graph."""
+        ns = set(nodes)
+        if not all(0 <= v < len(self.adj) for v in ns):
+            return False
+        mask = _mask_of(ns)
+        return all(not mask & ~self.adj[v] & ~(1 << v) for v in ns)
 
 
 def complement(g: Graph) -> Graph:
     """Graph with exactly the edges absent from g (no self-loops)."""
-    edges = {
-        (i, j)
-        for i, j in combinations(range(g.node_count), 2)
-        if (i, j) not in g.edges
-    }
-    return Graph(g.node_count, frozenset(edges))
+    full = (1 << g.node_count) - 1
+    return Graph(tuple(full ^ mask ^ 1 << v for v, mask in enumerate(g.adj)))
 
 
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -112,10 +116,9 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, 
         if not 0 <= v < g.node_count:
             raise ValueError(f"node {v} out of range")
     pos = {v: i for i, v in enumerate(order)}
-    edges = {
-        (pos[i], pos[j]) for i, j in g.edges if i in pos and j in pos
-    }
-    return Graph(len(order), frozenset(edges)), tuple(order)
+    within = _mask_of(order)
+    adj = tuple(_mask_of(pos[u] for u in _bits(g.adj[v] & within)) for v in order)
+    return Graph(adj), tuple(order)
 
 
 def maximal_cliques(g: Graph) -> list[NodeSet]:
@@ -126,7 +129,7 @@ def maximal_cliques(g: Graph) -> list[NodeSet]:
     """
     if g.node_count == 0:
         return []
-    adj = g.adjacency_masks
+    adj = g.adj
     out: list[int] = []
     stack = [(0, (1 << g.node_count) - 1, 0)]
     while stack:
@@ -143,7 +146,7 @@ def maximal_cliques(g: Graph) -> list[NodeSet]:
             p &= ~low
             x |= low
             cand ^= low
-    return sorted((_set_of(m) for m in out), key=lambda s: tuple(sorted(s)))
+    return [_set_of(m) for m in sorted(out, key=_bits)]
 
 
 def _complete_within(adj: tuple[int, ...], within: int) -> list[int]:
@@ -168,7 +171,7 @@ def _complete_masks(g: Graph) -> tuple[int, ...]:
     """Bitmask of every nonempty complete subset, ordered by size, then
     lexicographically.  Each graph is enumerated once; every consumer reads
     this tuple."""
-    found = _complete_within(g.adjacency_masks, (1 << g.node_count) - 1)
+    found = _complete_within(g.adj, (1 << g.node_count) - 1)
     return tuple(sorted(found, key=lambda m: (m.bit_count(), _bits(m))))
 
 
@@ -184,7 +187,7 @@ def complete_subsets(g: Graph, min_size: int) -> list[NodeSet]:
 
 def connected_components(g: Graph) -> list[NodeSet]:
     """Connected components, listed by their smallest node id."""
-    adj = g.adjacency_masks
+    adj = g.adj
     unseen = (1 << g.node_count) - 1
     comps: list[int] = []
     while unseen:

@@ -82,7 +82,7 @@ class SequenceCert:
         if unknown:
             raise ValidationError(f"node {min(unknown)} is not a node of the graph")
         chain = tuple(frozenset(inv[v] for v in s) for s in self.chain)
-        comp_adj = complement(g).adjacency_masks
+        comp_adj = complement(g).adj
         for s in chain:
             if not g.is_complete_set(s):
                 raise ValidationError(f"chain element {sorted(s)} is not complete")
@@ -159,7 +159,7 @@ def latent_partition(m: LatentModel) -> tuple[NodeSet, NodeSet]:
 def _neighborhoods(g: Graph) -> dict[int, int]:
     """N(J), the OR of the complement adjacency masks over J, for every complete
     set J of g, in the order of `_complete_masks`."""
-    comp_adj = complement(g).adjacency_masks
+    comp_adj = complement(g).adj
     return {j: _neighborhood(comp_adj, j) for j in _complete_masks(g)}
 
 
@@ -250,7 +250,7 @@ def _shortest_chain(
     cur = _mask_of(target)
     if cur not in steps:
         return None
-    comp_adj = complement(g_s).adjacency_masks
+    comp_adj = complement(g_s).adj
     chain = [target]
     for left in reversed(range(steps[cur])):
         cur = next(
@@ -277,13 +277,12 @@ def classify(m: LatentModel) -> Verdict:
     """
     s_nodes, t1_nodes = latent_partition(m)
     g_s, node_map = induced_subgraph(m.graph, sorted(s_nodes))
-    comp_s = complement(g_s)
     to_model = dict(enumerate(node_map))
 
     def in_model(local: Iterable[int]) -> NodeSet:
         return frozenset(to_model[v] for v in local)
 
-    m_clique = next((in_model(cl) for cl in maximal_cliques(comp_s) if len(cl) >= 3), None)
+    m_clique = next((in_model(cl) for cl in maximal_cliques(complement(g_s)) if len(cl) >= 3), None)
     clique_certs: list[tuple[NodeSet, SequenceCert | None]] = []
     failing_sets: list[NodeSet] = []
     system = None
@@ -304,7 +303,7 @@ def classify(m: LatentModel) -> Verdict:
             status = Status.GENERICALLY_IDENTIFIED
             failing = {c: in_model(_bits(c)) for c in _failing_masks(g_s)}
             failing_sets = list(failing.values())
-            system = _singular_system(m, g_s, node_map, comp_s, failing)
+            system = _singular_system(m, g_s, node_map, failing)
     return Verdict(
         status=status,
         s_nodes=s_nodes,

@@ -127,7 +127,7 @@ def param_count(m: LatentModel) -> int:
     needs no order, so the subsets are taken unsorted from the grow search."""
     less = [l - 1 for l in m.levels]
     multi = _mask_of(v for v, l in enumerate(less) if l > 1)
-    found = _complete_within(m.graph.adjacency_masks, (1 << m.graph.node_count) - 1)
+    found = _complete_within(m.graph.adj, (1 << m.graph.node_count) - 1)
     return 1 + sum(math.prod([less[v] for v in _bits(c & multi)]) for c in found)
 
 

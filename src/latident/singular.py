@@ -8,9 +8,9 @@ may depend on each other; `sample_on_subspace` solves any such system by exact
 elimination over its integer rows.
 
 A model's system is built from the observed context that `classify` already
-holds (G_S, the subgraph on the hidden node's neighbours, its complement and the
-failing sets); `full_system` reads it off the verdict.  Node sets stay bitmasks
-until the equations are built.  For each failing set only the complete subsets
+holds (G_S, the subgraph on the hidden node's neighbours, and the failing sets);
+`full_system` reads it off the verdict.  Node sets stay bitmasks until the
+equations are built.  For each failing set only the complete subsets
 inside its boundary are enumerated, by the grow search of `graph`; the boundary
 equation of V0 is fixed by the int pair (V0, anchored), so equations are
 deduplicated on that pair, first failing set kept as source, before they are
@@ -55,10 +55,6 @@ class SingularEquation:
 
     terms: tuple[ParamEntry, ...]
     source_set: NodeSet
-
-    @property
-    def boundary_subset(self) -> NodeSet:
-        return frozenset(self.terms[0].nodes[1:])
 
     def render(self) -> str:
         return " + ".join(t.name for t in self.terms) + " = 0"
@@ -149,12 +145,11 @@ def locus_equations_for_set(m: LatentModel, i0: NodeSet) -> list[SingularEquatio
         raise NotApplicableError(
             f"{sorted(i0)} has an identifying sequence; no locus equations apply"
         )
-    return list(_singular_system(m, g_s, node_map, complement(g_s), {c_mask: i0}).equations)
+    return list(_singular_system(m, g_s, node_map, {c_mask: i0}).equations)
 
 
 def _singular_system(
-    m: LatentModel, g_s: Graph, node_map: tuple[int, ...], comp_s: Graph,
-    failing: dict[int, NodeSet],
+    m: LatentModel, g_s: Graph, node_map: tuple[int, ...], failing: dict[int, NodeSet],
 ) -> SingularSystem:
     """Boundary equations of the failing sets (bitmasks of G_S's local ids, each
     mapped to its node set in model ids, the source set of its equations).
@@ -168,10 +163,10 @@ def _singular_system(
     equations share one ParamEntry per distinct coordinate and are sorted on
     sort keys computed once per coordinate.
     """
-    adj = g_s.adjacency_masks
+    adj, comp_adj = g_s.adj, complement(g_s).adj
     first: dict[tuple[int, int], NodeSet] = {}
     for c_mask, source_set in failing.items():
-        bd_mask = _neighborhood(comp_s.adjacency_masks, c_mask) & ~c_mask
+        bd_mask = _neighborhood(comp_adj, c_mask) & ~c_mask
         for v0 in _complete_within(adj, bd_mask):
             anchored = c_mask
             for v in _bits(v0):

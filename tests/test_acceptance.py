@@ -211,7 +211,7 @@ def test_criterion_07_sequence_equivalence_exhaustive():
                         edges.append((i, j))
                 if not _connected(n, adj):
                     continue
-                g = Graph(n, frozenset(edges))
+                g = Graph.from_edges(n, edges)
                 gen_ok = _generalized_ok(g)
                 plain_ok = _plain_ok(g)
                 cliques_covered = all(

@@ -8,6 +8,7 @@ from latident import (
     complement,
     complete_subsets,
     connected_components,
+    find_generalized_sequence,
     induced_subgraph,
     maximal_cliques,
 )
@@ -23,12 +24,67 @@ def random_graph(rng: random.Random, n: int, density: float = 0.5) -> Graph:
 
 
 def test_graph_rejects_self_loops_and_bad_edges():
+    with pytest.raises(ValueError, match="self-loop"):
+        Graph.from_edges(3, [(0, 1), (1, 1)])
+    for bad in [(1, 3), (3, 0), (-1, 2), (1, -3)]:
+        with pytest.raises(ValueError, match="out of range"):
+            Graph.from_edges(3, [bad])
+    with pytest.raises(ValueError, match="non-negative"):
+        Graph.from_edges(-1, [])
+
+
+def test_graph_masks_reject_self_bits_and_bits_beyond_the_node_count():
+    assert Graph((0b10, 0b01)) == Graph.from_edges(2, [(1, 0), (0, 1)])
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(1, 1)])
+        Graph((0b01, 0b00))  # node 0 adjacent to itself
     with pytest.raises(ValueError):
-        Graph(3, frozenset({(2, 1)}))
+        Graph((0b100, 0b00))  # node 2 of a 2-node graph
     with pytest.raises(ValueError):
-        Graph(3, frozenset({(1, 3)}))
+        Graph((-1, 0))
+
+
+# Pair-set forms of complement, induced_subgraph and is_complete_set: the
+# references the mask versions are compared against.
+def _complement_pairs(n, edges):
+    return {(i, j) for i, j in combinations(range(n), 2) if (i, j) not in edges}
+
+
+def _induced_pairs(edges, nodes):
+    pos = {v: i for i, v in enumerate(sorted(set(nodes)))}
+    return {(pos[i], pos[j]) for i, j in edges if i in pos and j in pos}
+
+
+def _is_complete_pairs(edges, nodes):
+    return all((min(i, j), max(i, j)) in edges for i, j in combinations(list(nodes), 2))
+
+
+def test_mask_graph_matches_pair_set_reference():
+    rng = random.Random(4)
+    for n in range(11):
+        for _ in range(6):
+            g = random_graph(rng, n, density=rng.random())
+            assert Graph.from_edges(n, g.edges) == g
+            assert all(0 <= i < j < n for i, j in g.edges)
+            comp = complement(g)
+            assert comp.node_count == n
+            assert comp.edges == _complement_pairs(n, g.edges)
+            for mask in range(1 << n) if n <= 6 else rng.sample(range(1 << n), 64):
+                nodes = {v for v in range(n) if mask >> v & 1}
+                sub, node_map = induced_subgraph(g, nodes)
+                assert node_map == tuple(sorted(nodes))
+                assert sub.node_count == len(nodes)
+                assert sub.edges == _induced_pairs(g.edges, nodes)
+                assert g.is_complete_set(nodes) == _is_complete_pairs(g.edges, nodes)
+
+
+def test_is_complete_set_is_false_off_the_graph():
+    g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    assert g.is_complete_set({0, 1, 2})
+    assert not g.is_complete_set({98, 99})
+    assert not g.is_complete_set({1, 3})
+    assert not g.is_complete_set({-1, 0})
+    with pytest.raises(ValueError):
+        find_generalized_sequence(g, {98, 99})
 
 
 def test_complement_of_observed_path():
@@ -74,14 +130,14 @@ def test_maximal_cliques_of_path():
 
 
 def test_maximal_cliques_of_edgeless_graph():
-    g = Graph(4, frozenset())
+    g = Graph.from_edges(4, [])
     assert [set(c) for c in maximal_cliques(g)] == [{0}, {1}, {2}, {3}]
 
 
 def test_maximal_cliques_of_large_complete_graph_and_its_complement():
     # one clique of 1,100 nodes: as deep as Bron-Kerbosch goes, and over
     # Python's default recursion limit
-    k = Graph(1100, frozenset(combinations(range(1100), 2)))
+    k = Graph.from_edges(1100, combinations(range(1100), 2))
     assert maximal_cliques(k) == [frozenset(range(1100))]
     assert maximal_cliques(complement(k)) == [frozenset({v}) for v in range(1100)]
 
@@ -165,7 +221,7 @@ def test_is_connected_examples():
         6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
     )
     assert len(connected_components(two_triangles)) == 2
-    assert len(connected_components(Graph(1, frozenset()))) == 1
+    assert len(connected_components(Graph.from_edges(1, []))) == 1
 
 
 def test_connected_components_order():

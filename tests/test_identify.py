@@ -330,7 +330,7 @@ def _covers_per_bit(comp_adj, i, j):
 
 
 def _generalized_ok_reference(g):
-    comp_adj = complement(g).adjacency_masks
+    comp_adj = complement(g).adj
     sets_ = _complete_masks(g)
     ok = {m for m in sets_ if m.bit_count() == 1}
     work = list(ok)
@@ -344,7 +344,7 @@ def _generalized_ok_reference(g):
 
 
 def _plain_ok_reference(g):
-    comp_adj = complement(g).adjacency_masks
+    comp_adj = complement(g).adj
     sets_ = _complete_masks(g)
     ok = set()
     for k in range(2, max((m.bit_count() for m in sets_), default=0) + 1):

@@ -44,7 +44,7 @@ def test_model_validation():
     with pytest.raises(ValidationError):
         LatentModel(g, (2,))  # wrong length
     with pytest.raises(ValidationError):
-        LatentModel(Graph(1, frozenset()), (2,))  # no observed node
+        LatentModel(Graph.from_edges(1, []), (2,))  # no observed node
 
 
 def test_param_count_triangle_pendants():

@@ -144,10 +144,10 @@ def test_full_system_is_union_over_failing_sets(model):
     first_seen = {}
     for s in verdict.failing_sets:
         for eq in locus_equations_for_set(model, s):
-            first_seen.setdefault(eq.render(), (eq.source_set, eq.boundary_subset))
+            first_seen.setdefault(eq.render(), (eq.source_set, eq.terms[0].nodes[1:]))
     system = full_system(model)
     assert {
-        eq.render(): (eq.source_set, eq.boundary_subset) for eq in system.equations
+        eq.render(): (eq.source_set, eq.terms[0].nodes[1:]) for eq in system.equations
     } == first_seen
     assert len(system.equations) == len(first_seen)
     assert system.equations == verdict.singular_system.equations
@@ -342,7 +342,7 @@ def _hash_equations(h, equations):
         assert keys == sorted(keys)
         h.update(
             f"{eq.render()}|{eq.terms[0].name}|boundary|"
-            f"{sorted(eq.source_set)}|{sorted(eq.boundary_subset)}\n".encode()
+            f"{sorted(eq.source_set)}|{sorted(eq.terms[0].nodes[1:])}\n".encode()
         )
 
 
@@ -409,11 +409,11 @@ def _assert_boundary_subsets(m, system):
     g = m.graph
     s_nodes = classify(m).s_nodes
     for eq in system.equations:
-        v0 = eq.boundary_subset
+        v0 = frozenset(eq.terms[0].nodes[1:])
         assert v0 and v0 <= s_nodes and g.is_complete_set(v0)
         assert not v0 & eq.source_set
         for v in v0:
-            assert any(not g.has_edge(v, c) for c in eq.source_set)
+            assert any(c not in g.neighbors(v) for c in eq.source_set)
 
 
 def test_exhaustive_boundary_subsets_are_boundary_subsets():
