@@ -106,8 +106,11 @@ def parse_model(source: str | IO[str]) -> LatentModel:
             raise ParseError(f"unknown directive {keyword!r}", line_no)
     if node_count is None:
         raise ParseError("missing nodes line", None)
-    level_tuple = tuple(levels.get(v, 2) for v in range(node_count))
-    return LatentModel(Graph.from_edges(node_count, edges), level_tuple)
+    try:
+        graph = Graph.from_edges(node_count, edges)
+        return LatentModel(graph, tuple(levels.get(v, 2) for v in range(node_count)))
+    except MemoryError:
+        raise ValidationError(f"a model of {node_count} nodes is too large to hold") from None
 
 
 def _nodes(ns) -> list[int]:

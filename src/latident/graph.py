@@ -2,15 +2,15 @@
 
 A graph is its adjacency masks over node ids 0..n-1, Python ints of any width.
 `Graph(adj)` takes symmetric masks and checks only their range and self-bits;
-`Graph.from_edges` validates an edge list.  Node sets are exposed as frozensets;
-internally everything runs on bitmasks.
+`Graph.from_edges` validates an edge list.  Node sets are exposed as frozensets,
+maximal cliques lazily in lexicographic order; internally everything is bitmasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 NodeSet = frozenset[int]
 
@@ -55,6 +55,10 @@ class Graph:
         for v, mask in enumerate(self.adj):
             if mask >> len(self.adj) or mask >> v & 1:
                 raise ValueError(f"node {v}: neighbour mask out of range or with a self-loop")
+        object.__setattr__(self, "_hash", hash(self.adj))  # the caches hash it on every lookup
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def from_edges(node_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -121,32 +125,29 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> tuple[Graph, tuple[int, 
     return Graph(adj), tuple(order)
 
 
-def maximal_cliques(g: Graph) -> list[NodeSet]:
-    """All maximal cliques, each sorted ascending, listed in lexicographic order.
+def maximal_cliques(g: Graph) -> Iterator[NodeSet]:
+    """Every maximal clique, as a frozenset, lazily and in lexicographic order.
 
-    Bron-Kerbosch with pivoting (the pivot is the lowest id in P | X) on an
-    explicit stack of sub-problems, so a clique of any size costs no recursion.
+    Bron-Kerbosch on an explicit stack of (R, P, X): the lowest candidate v goes
+    before its sibling (R, P - v, X + v), and R lies below every candidate, so
+    the order holds by construction.  The sibling is dropped when v is adjacent
+    to all of P - v, as v then stays in X (this keeps K_n linear).  No pivot is
+    needed: classify walks every clique of G_S only after `identify` has listed
+    every complete subset of it, and stops at the first complement 3-clique.
     """
-    if g.node_count == 0:
-        return []
     adj = g.adj
-    out: list[int] = []
-    stack = [(0, (1 << g.node_count) - 1, 0)]
+    stack = [(0, (1 << g.node_count) - 1, 0)] if g.node_count else []
     while stack:
         r, p, x = stack.pop()
-        if p == 0 and x == 0:
-            out.append(r)
-            continue
-        pivot = ((p | x) & -(p | x)).bit_length() - 1
-        cand = p & ~adj[pivot]
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            stack.append((r | low, p & adj[v], x & adj[v]))
-            p &= ~low
-            x |= low
-            cand ^= low
-    return [_set_of(m) for m in sorted(out, key=_bits)]
+        if not p | x:
+            yield _set_of(r)
+        elif p:
+            low = p & -p
+            v_adj = adj[low.bit_length() - 1]
+            rest = p ^ low
+            if rest & ~v_adj:
+                stack.append((r, rest, x | low))
+            stack.append((r | low, rest & v_adj, x & v_adj))
 
 
 def _complete_within(adj: tuple[int, ...], within: int) -> list[int]:

@@ -6,10 +6,10 @@ nowhere.  The workhorse notions are identifying sequences: chains of complete
 subgraphs linked step-wise through complement edges.  A step from I to J needs
 every node of I to have a complement neighbour in J; the complement is
 symmetric, so that is the one mask test I <= N(J), with N(J) the OR of the
-complement adjacency masks over J.  One memoized backward BFS over the
-meta-graph of complete subsets gives every set that reaches an end its fewest
-steps to one; a certificate is then walked forward off those step counts, so
-repeated queries against the same graph are cheap.
+complement adjacency masks over J, read by every consumer from one table per
+graph.  One memoized backward BFS over the meta-graph of complete subsets gives
+every set that reaches an end its fewest steps to one; a certificate is then
+walked forward off those step counts, so repeated queries on a graph are cheap.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class SequenceCert:
     def target(self) -> NodeSet:
         return self.chain[0]
 
-    def relabeled(self, mapping: Mapping[int, int]) -> "SequenceCert":
+    def relabeled(self, mapping: Mapping[int, int] | Sequence[int]) -> "SequenceCert":
         return SequenceCert(tuple(frozenset(mapping[v] for v in s) for s in self.chain), self.kind)
 
     def validate(self, g: Graph, node_map: Sequence[int] | None = None) -> None:
@@ -156,27 +156,29 @@ def latent_partition(m: LatentModel) -> tuple[NodeSet, NodeSet]:
     return s, t1
 
 
-def _neighborhoods(g: Graph) -> dict[int, int]:
+@lru_cache(maxsize=4096)
+def _neighborhoods(g: Graph) -> Mapping[int, int]:
     """N(J), the OR of the complement adjacency masks over J, for every complete
     set J of g, in the order of `_complete_masks`."""
     comp_adj = complement(g).adj
-    return {j: _neighborhood(comp_adj, j) for j in _complete_masks(g)}
+    return MappingProxyType({j: _neighborhood(comp_adj, j) for j in _complete_masks(g)})
 
 
 def _steps_to_end(
-    nbhd: Mapping[int, int], pool: Sequence[int], steps: dict[int, int]
+    nbhd: Mapping[int, int], pool: Iterable[int], steps: dict[int, int]
 ) -> dict[int, int]:
     """FIFO backward BFS from the seeds in `steps` (all at one step count):
     give every set of pool that reaches a seed its fewest steps, a step I -> J
-    needing |I| >= |J| and I <= N(J)."""
+    needing |I| >= |J| and I <= N(J).  Only sets not reached yet are scanned."""
     queue = deque(steps)
-    while queue:
+    left = [i for i in pool if i not in steps]
+    while queue and left:
         j = queue.popleft()
         nj, n_j, d = j.bit_count(), nbhd[j], steps[j] + 1
-        for i in pool:
-            if i not in steps and i.bit_count() >= nj and not i & ~n_j:
-                steps[i] = d
-                queue.append(i)
+        reached = dict.fromkeys((i for i in left if i.bit_count() >= nj and not i & ~n_j), d)
+        steps |= reached
+        queue.extend(reached)
+        left = [i for i in left if i not in reached]
     return steps
 
 
@@ -184,9 +186,9 @@ def _steps_to_end(
 def _generalized_ok(g: Graph) -> Mapping[int, int]:
     """Complete sets from which some non-increasing chain reaches a singleton,
     each mapped to the fewest steps to one (singletons at 0)."""
-    sets_ = _complete_masks(g)
-    seeds = {m: 0 for m in sets_ if m.bit_count() == 1}
-    return MappingProxyType(_steps_to_end(_neighborhoods(g), sets_, seeds))
+    nbhd = _neighborhoods(g)
+    seeds = {m: 0 for m in nbhd if m.bit_count() == 1}
+    return MappingProxyType(_steps_to_end(nbhd, nbhd, seeds))
 
 
 @lru_cache(maxsize=4096)
@@ -250,15 +252,14 @@ def _shortest_chain(
     cur = _mask_of(target)
     if cur not in steps:
         return None
-    comp_adj = complement(g_s).adj
     chain = [target]
     for left in reversed(range(steps[cur])):
         cur = next(
             j
-            for j in _complete_masks(g_s)
+            for j, n_j in _neighborhoods(g_s).items()
             if j.bit_count() <= cur.bit_count()
             and (0 if j.bit_count() <= end_size else steps.get(j)) == left
-            and not cur & ~_neighborhood(comp_adj, j)
+            and not cur & ~n_j
         )
         chain.append(_set_of(cur))
     return SequenceCert(tuple(chain), kind)
@@ -277,10 +278,9 @@ def classify(m: LatentModel) -> Verdict:
     """
     s_nodes, t1_nodes = latent_partition(m)
     g_s, node_map = induced_subgraph(m.graph, sorted(s_nodes))
-    to_model = dict(enumerate(node_map))
 
     def in_model(local: Iterable[int]) -> NodeSet:
-        return frozenset(to_model[v] for v in local)
+        return frozenset(node_map[v] for v in local)
 
     m_clique = next((in_model(cl) for cl in maximal_cliques(complement(g_s)) if len(cl) >= 3), None)
     clique_certs: list[tuple[NodeSet, SequenceCert | None]] = []
@@ -295,7 +295,7 @@ def classify(m: LatentModel) -> Verdict:
         for cl in maximal_cliques(g_s):
             if len(cl) > 1:
                 cert = find_generalized_sequence(g_s, cl)
-                clique_certs.append((in_model(cl), cert.relabeled(to_model) if cert else None))
+                clique_certs.append((in_model(cl), cert.relabeled(node_map) if cert else None))
         status = Status.IDENTIFIED_EVERYWHERE
         if any(cert is None for _, cert in clique_certs):
             from .singular import _singular_system

@@ -30,17 +30,8 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import InconsistentSystemError, NotApplicableError
-from .graph import (
-    Graph,
-    NodeSet,
-    _bits,
-    _complete_within,
-    _mask_of,
-    _neighborhood,
-    complement,
-    induced_subgraph,
-)
-from .identify import _plain_ok, classify, latent_partition
+from .graph import Graph, NodeSet, _bits, _complete_within, _mask_of, induced_subgraph
+from .identify import _neighborhoods, _plain_ok, classify, latent_partition
 from .loglinear import LATENT, LatentModel, ParamEntry, ParamIndex
 
 
@@ -163,10 +154,10 @@ def _singular_system(
     equations share one ParamEntry per distinct coordinate and are sorted on
     sort keys computed once per coordinate.
     """
-    adj, comp_adj = g_s.adj, complement(g_s).adj
+    adj, nbhd = g_s.adj, _neighborhoods(g_s)
     first: dict[tuple[int, int], NodeSet] = {}
     for c_mask, source_set in failing.items():
-        bd_mask = _neighborhood(comp_adj, c_mask) & ~c_mask
+        bd_mask = nbhd[c_mask] & ~c_mask
         for v0 in _complete_within(adj, bd_mask):
             anchored = c_mask
             for v in _bits(v0):

@@ -1,5 +1,6 @@
 import itertools
 import pathlib
+import random
 
 import pytest
 
@@ -50,6 +51,18 @@ def dense_model(n: int) -> LatentModel:
             [pr for pr in itertools.combinations(range(n + 1), 2) if pr not in removed],
         )
     )
+
+
+def sparse_model(n: int) -> LatentModel:
+    """Hidden node adjacent to all n observed nodes, each observed node joined
+    to 3 others drawn by random.Random(0): a sparse G_S whose complement's
+    maximal cliques grow exponentially (hundreds of thousands at 60 nodes)."""
+    rng = random.Random(0)
+    observed = range(1, n + 1)
+    edges = {(0, v) for v in observed}
+    for v in observed:
+        edges.update((min(u, v), max(u, v)) for u in rng.sample([u for u in observed if u != v], 3))
+    return LatentModel.binary(Graph.from_edges(n + 1, edges))
 
 
 def hidden_over_all_graphs():

@@ -499,6 +499,27 @@ def test_non_utf8_stream_is_a_parse_error():
         parse_model(stream)
 
 
+def test_node_count_too_large_to_hold_is_a_validation_error(tmp_path):
+    # 10^8 nodes need 800 MB for the adjacency list alone; the child's address
+    # space is capped at 400 MB, so the model cannot be built
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "huge.model"
+    path.write_text("nodes 100000000\nedge 0 1\n")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "latident", "classify", str(path)],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: a model of 100000000 nodes is too large to hold\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -12,6 +12,7 @@ from latident import (
     induced_subgraph,
     maximal_cliques,
 )
+from latident.graph import _complete_masks, _set_of
 
 PATH5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
@@ -138,15 +139,21 @@ def test_maximal_cliques_of_large_complete_graph_and_its_complement():
     # one clique of 1,100 nodes: as deep as Bron-Kerbosch goes, and over
     # Python's default recursion limit
     k = Graph.from_edges(1100, combinations(range(1100), 2))
-    assert maximal_cliques(k) == [frozenset(range(1100))]
-    assert maximal_cliques(complement(k)) == [frozenset({v}) for v in range(1100)]
+    assert list(maximal_cliques(k)) == [frozenset(range(1100))]
+    assert list(maximal_cliques(complement(k))) == [frozenset({v}) for v in range(1100)]
+
+
+def _maximal_cliques_reference(g):
+    """The maximal sets among every complete subset, in lexicographic order."""
+    sets_ = [_set_of(m) for m in _complete_masks(g)]
+    return sorted((c for c in sets_ if not any(c < d for d in sets_)), key=sorted)
 
 
 def test_maximal_cliques_properties_random():
     rng = random.Random(1)
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 8))
-        cliques = maximal_cliques(g)
+        cliques = list(maximal_cliques(g))
         covered = set()
         for c in cliques:
             assert g.is_complete_set(c)
@@ -154,6 +161,11 @@ def test_maximal_cliques_properties_random():
             for other in cliques:
                 assert other == c or not c < other
         assert covered == set(range(g.node_count))
+    # complete and in lexicographic order, on sparse and dense graphs alike
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(0, 12), rng.uniform(0.1, 0.9))
+        for h in (g, complement(g)):
+            assert list(maximal_cliques(h)) == _maximal_cliques_reference(h)
 
 
 def test_complete_subsets_triangle_pendants_shape():

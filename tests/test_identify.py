@@ -25,9 +25,15 @@ from latident import (
     complete_subsets,
 )
 from latident.graph import _bits, _mask_of, _set_of
-from latident.identify import _complete_masks, _failing_masks, _generalized_ok, _plain_ok
+from latident.identify import (
+    _complete_masks,
+    _failing_masks,
+    _generalized_ok,
+    _neighborhoods,
+    _plain_ok,
+)
 
-from conftest import dense_model, hidden_over_all_graphs, load_model, star_model
+from conftest import dense_model, hidden_over_all_graphs, load_model, sparse_model, star_model
 
 
 def observed_graph(name):
@@ -229,7 +235,9 @@ def test_classify_enumerates_complete_subsets_once(monkeypatch):
 
 
 def test_classify_builds_the_observed_context_once(monkeypatch):
-    # the singular system reuses classify's G_S, complement and failing sets
+    # the singular system reuses classify's G_S, N(J) table and failing sets;
+    # from cold caches, one complement is built for the complement clique and
+    # one for the N(J) table
     counts = Counter()
 
     def counted(name, original):
@@ -239,15 +247,49 @@ def test_classify_builds_the_observed_context_once(monkeypatch):
 
         return wrapper
 
-    for original in (induced_subgraph, maximal_cliques, _failing_masks):
+    for original in (induced_subgraph, maximal_cliques, _failing_masks, complement):
         name = original.__name__
         wrapper = counted(name, original)
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("latident") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
+    for cache in (_neighborhoods, _generalized_ok, _plain_ok):
+        cache.cache_clear()
     verdict = classify(dense_model(10))
     assert verdict.singular_system is not None
-    assert counts == {"induced_subgraph": 1, "maximal_cliques": 2, "_failing_masks": 1}
+    assert counts == {
+        "induced_subgraph": 1, "maximal_cliques": 2, "_failing_masks": 1, "complement": 2
+    }
+
+
+def test_classify_sparse_graph_stops_at_the_first_complement_clique(monkeypatch):
+    # G_S has about 3 edges per node, so its complement's maximal cliques are
+    # past counting; classify reads the first one of size >= 3 and stops there
+    builds = Counter()
+    walks = []
+
+    def counted_complement(g):
+        builds["complement"] += 1
+        return complement(g)
+
+    def recorded_cliques(g):
+        walk = []
+        walks.append((g, walk))
+        for c in maximal_cliques(g):
+            walk.append(c)
+            yield c
+
+    for original, wrapper in ((complement, counted_complement), (maximal_cliques, recorded_cliques)):
+        name = original.__name__
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("latident") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    verdict = classify(sparse_model(300))
+    assert verdict.status is Status.IDENTIFIED_EVERYWHERE
+    assert builds["complement"] <= 2
+    (walk,) = [walk for g, walk in walks if g != verdict.s_graph]
+    assert [len(c) >= 3 for c in walk] == [False] * (len(walk) - 1) + [True]
+    assert frozenset(verdict.s_node_map[v] for v in walk[-1]) == verdict.m_clique
 
 
 def test_classify_covers_every_shape_hidden_adjacent_to_all():
