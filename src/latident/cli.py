@@ -14,15 +14,15 @@ identified, 1 any error.
 
 A report is written as it is produced, with the bytes json.dumps(report,
 indent=2) would give: the small blocks go through the encoder in one pass and
-the singular system is written one equation at a time, so a large classify
-holds the system in memory but not a second copy of it as text.
+the singular system is written one equation at a time, its text built from the
+equation's generator, so a large classify or locus holds the system as
+generators and never as text.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import operator
 import sys
 from typing import IO
 
@@ -169,7 +169,8 @@ def _write_system(write, system: SingularSystem) -> None:
     """Write the singular_system block, one write per equation, with the bytes
     json.dumps(..., indent=2) gives it as the value of a top-level key.
 
-    Each term's name is read once; its JSON string is the name in quotes (see
+    Each equation's names come straight from its generator through the system's
+    coordinate table; a name's JSON string is the name in quotes (see
     ParamEntry.name).  Each distinct source set and boundary subset is encoded once.
     """
     encoded: dict[NodeSet | tuple[int, ...], str] = {}
@@ -181,20 +182,18 @@ def _write_system(write, system: SingularSystem) -> None:
             text = encoded[ns] = f"[\n{items}\n        ]" if ns else "[]"
         return text
 
-    names_of = operator.attrgetter("name")
     equations = system.equations
     write(f'{{\n    "equation_count": {len(equations)},\n    "equations": [')
     sep = "\n"
     for eq in equations:
-        names = list(map(names_of, eq.terms))
-        text = " + ".join(names)
+        names = eq.names
         write(
-            f'{sep}      {{\n        "text": "{text} = 0",\n'
+            f'{sep}      {{\n        "text": "{" + ".join(names)} = 0",\n'
             f'        "terms": [\n          "{_TERM_SEP.join(names)}"\n        ],\n'
             f'        "designated": "{names[0]}",\n'
             f'        "source_kind": "boundary",\n'
             f'        "source_set": {node_list(eq.source_set)},\n'
-            f'        "source_boundary_subset": {node_list(eq.terms[0].nodes[1:])}\n      }}'
+            f'        "source_boundary_subset": {node_list(eq.boundary_subset)}\n      }}'
         )
         sep = ",\n"
     write("\n    ]" if equations else "]")
@@ -353,8 +352,8 @@ def cmd_locus(path: str) -> int:
         else:
             print("no singular system: " + verdict.status.value, file=sys.stderr)
         return EXIT_OK
-    for line in verdict.singular_system.render():
-        print(line)
+    for eq in verdict.singular_system.equations:
+        print(eq.render())
     return EXIT_OK
 
 
@@ -410,6 +409,9 @@ def main(argv: list[str] | None = None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except (LatidentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        print(f"error: out of memory in the {args.command} command", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -140,9 +140,10 @@ def _check_tol(tol: float | None) -> None:
 
 
 def _trial_loop(
-    m: LatentModel, idx: ParamIndex | None, trials: int, seed: int, tol: float | None, draw
+    m: LatentModel, idx: ParamIndex | None, trials: int, seed: int, tol: float | None, draw_for
 ) -> RankReport:
-    """Rank the Jacobian at `draw(idx, (seed, t))` for t < trials and aggregate."""
+    """Rank the Jacobian at `draw((seed, t))` for t < trials and aggregate, where
+    draw = draw_for(idx) is made once, after the arguments are checked."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
@@ -150,7 +151,8 @@ def _trial_loop(
     _check_tol(tol)
     if idx is None:
         idx = build_param_index(m)
-    reports = [numeric_rank(jacobian(m, idx, draw(idx, (seed, t))), tol=tol) for t in range(trials)]
+    draw = draw_for(idx)
+    reports = [numeric_rank(jacobian(m, idx, draw((seed, t))), tol=tol) for t in range(trials)]
     ranks = tuple(r.rank for r in reports)
     best = max(reports, key=lambda r: r.rank)  # the first trial reaching the top rank
     counts = Counter(ranks)
@@ -171,7 +173,7 @@ def generic_rank(
     maximum over trials estimates the generic rank; the modal rank and any
     disagreement across trials are reported alongside.
     """
-    return _trial_loop(m, idx, trials, seed, tol, lambda idx, key: sample_beta(idx.p, key))
+    return _trial_loop(m, idx, trials, seed, tol, lambda idx: partial(sample_beta, idx.p))
 
 
 def rank_on_system(
@@ -184,10 +186,12 @@ def rank_on_system(
 ) -> RankReport:
     """Maximum Jacobian rank over draws constrained to a singular system.
 
+    The system is brought to echelon form once and every trial's point is
+    solved from those rows, the point `sample_on_subspace` draws for that key.
     All draws are expected to agree; `unanimous` records whether they did.
     """
-    from .singular import sample_on_subspace
+    from .singular import _eliminate, _sample
 
     return _trial_loop(
-        m, idx, trials, seed, tol, lambda idx, key: sample_on_subspace(sys, idx, key)
+        m, idx, trials, seed, tol, lambda idx: partial(_sample, _eliminate(sys, idx), idx.p)
     )

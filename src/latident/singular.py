@@ -1,31 +1,39 @@
 """Explicit equations for the parameter subspaces where the Jacobian drops rank.
 
-The boundary system: each complete set with no plain identifying sequence gets
-one equation per complete subset of its complement boundary, expanded per level
-combination.  Every equation is a sum of hidden-node interaction coordinates
-set to zero, its terms in column order.  Equations may share coordinates and
-may depend on each other; `sample_on_subspace` solves any such system by exact
-elimination over its integer rows.
+The boundary system: each complete set C with no plain identifying sequence gets
+one equation per complete subset V0 of its complement boundary and per level
+combination of the multi-level nodes involved.  With anchored the nodes of C
+adjacent in G_S to all of V0, the coordinates of {0} | V0 | I over the subsets
+I of anchored sum to zero.  Equations may share coordinates and may depend on
+each other; `sample_on_subspace` solves any such system by exact elimination
+over its integer rows.
 
 A model's system is built from the observed context that `classify` already
 holds (G_S, the subgraph on the hidden node's neighbours, and the failing sets);
-`full_system` reads it off the verdict.  Node sets stay bitmasks until the
-equations are built.  For each failing set only the complete subsets
-inside its boundary are enumerated, by the grow search of `graph`; the boundary
-equation of V0 is fixed by the int pair (V0, anchored), so equations are
-deduplicated on that pair, first failing set kept as source, before they are
-expanded.  An equation records only its terms and that source set: V0 is its
-smallest term.  A system builds one ParamEntry per distinct coordinate, which
-every equation holding it shares, and sorts the equations once, on each
-coordinate's (size, subset, levels) key, the parameter index's column order.
+`full_system` reads it off the verdict.  For each failing set only the complete
+subsets inside its boundary are enumerated, by the grow search of `graph`.  The
+pair (V0, anchored) fixes the terms and the terms fix the pair (V0 is the
+smallest term), so pairs are deduplicated, first failing set kept as source.
+
+An equation is kept as its generator, never as a list of terms: V0 and
+anchored as slot masks, which carry the level of each node, plus the source
+set.  Node v of G_S (local id) at level l is slot bit v * w + l - 1, with w the
+largest level count in S less one, so when S is all binary a slot mask is a
+node mask.  The coordinate of V0 | I is the OR of their slot masks, and the
+subsets of a slot mask come in the (size, lexicographic) order of their nodes,
+which is column order.  A system's coordinate table builds one ParamEntry and
+one name per distinct coordinate, on first lookup; an equation's `terms` and
+`names` are views through it.  The equations are sorted once, on a key read off
+each generator (`_sort_key`) that orders them as their terms' sort keys do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, product
-from operator import itemgetter
+from dataclasses import dataclass, field
+from functools import lru_cache, reduce
+from itertools import chain, combinations, product, repeat
+from operator import and_, or_
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -35,20 +43,91 @@ from .identify import _neighborhoods, _plain_ok, classify, latent_partition
 from .loglinear import LATENT, LatentModel, ParamEntry, ParamIndex
 
 
-@dataclass(frozen=True)
-class SingularEquation:
-    """Sum of the listed coordinates equals zero; all coefficients are +1.
+class _Built(dict):
+    """A dict that builds a missing value from its key, once."""
 
-    Every term's subset contains the hidden node.  The terms come in column
-    order, so the first is {0} | V0, V0 the boundary subset the equation was
-    built for; `source_set` is the failing set it came from.
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class _Coordinates:
+    """A system's coordinate table: `entries` and `names` map a slot mask of G_S
+    to its ParamEntry and its name, each built on first lookup.
+
+    Slot s stands for node node_map[s // width] at level s % width + 1.  Two
+    tables are equal when they read every slot mask alike.
     """
 
-    terms: tuple[ParamEntry, ...]
+    def __init__(self, node_map: tuple[int, ...], width: int):
+        self.node_map = node_map
+        self.width = width
+        self.entries = _Built(self._entry)
+        self.names = _Built(lambda slots: self.entries[slots].name)
+
+    def _entry(self, slots: int) -> ParamEntry:
+        w, bits = self.width, _bits(slots)
+        return ParamEntry(
+            (LATENT, *(self.node_map[s // w] for s in bits)), (1, *(s % w + 1 for s in bits))
+        )
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Coordinates) and (self.node_map, self.width) == (
+            other.node_map, other.width
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.node_map, self.width))
+
+
+@lru_cache(maxsize=4096)
+def _subsets(mask: int) -> tuple[int, ...]:
+    """Every subset of mask, the empty one first, in (size, lexicographic) order."""
+    singles = [1 << v for v in _bits(mask)]
+    return tuple(chain.from_iterable(
+        map(sum, combinations(singles, r)) for r in range(len(singles) + 1)
+    ))
+
+
+@dataclass(frozen=True)
+class SingularEquation:
+    """Sum of the terms' coordinates equals zero; all coefficients are +1.
+
+    Kept as its generator: `v0` and `anchored` are slot masks of G_S (see the
+    module docstring) and `source_set` is the failing set the equation came
+    from, in model ids.  The terms are {0} | V0 | I over the subsets I of
+    anchored, in column order, so the first is {0} | V0.  `terms` and `names`
+    are built from the system's coordinate table on each use.
+    """
+
+    v0: int
+    anchored: int
     source_set: NodeSet
+    coords: _Coordinates = field(repr=False)
+
+    def _slots(self) -> Iterator[int]:
+        return map(or_, repeat(self.v0), _subsets(self.anchored))
+
+    @property
+    def terms(self) -> tuple[ParamEntry, ...]:
+        return tuple(map(self.coords.entries.__getitem__, self._slots()))
+
+    @property
+    def names(self) -> list[str]:
+        """The terms' names, in column order."""
+        return list(map(self.coords.names.__getitem__, self._slots()))
+
+    @property
+    def boundary_subset(self) -> tuple[int, ...]:
+        """V0, in model ids ascending."""
+        return self.coords.entries[self.v0].nodes[1:]
 
     def render(self) -> str:
-        return " + ".join(t.name for t in self.terms) + " = 0"
+        return " + ".join(self.names) + " = 0"
 
 
 @dataclass(frozen=True)
@@ -56,65 +135,6 @@ class SingularSystem:
     """Deduplicated equations, ordered by their terms' sort keys."""
 
     equations: tuple[SingularEquation, ...]
-
-    def render(self) -> list[str]:
-        return [eq.render() for eq in self.equations]
-
-
-@lru_cache(maxsize=4096)
-def _subsets(mask: int) -> tuple[int, ...]:
-    """Every subset of mask, the empty one first, in (size, lexicographic) order."""
-    singles = [1 << v for v in _bits(mask)]
-    return tuple(sum(t) for r in range(len(singles) + 1) for t in combinations(singles, r))
-
-
-class _Coordinates(dict):
-    """A system's coordinates: one shared ParamEntry per distinct term, with its sort key.
-
-    Maps a term mask (local ids of G_S) with every level at 1, or a pair (mask,
-    levels) otherwise, to (entry, sort key), building each on first lookup.  The
-    sort key is (len(nodes), nodes, levels), the order of `build_param_index`.
-    """
-
-    def __init__(self, m: LatentModel, node_map: tuple[int, ...]):
-        super().__init__()
-        self.node_map = node_map
-        self.levels = [m.levels[v] for v in node_map]
-        self.multi = _mask_of(i for i, l in enumerate(self.levels) if l > 2)
-
-    def __missing__(self, key: int | tuple[int, tuple[int, ...]]) -> tuple[ParamEntry, tuple]:
-        mask, levels = key if isinstance(key, tuple) else (key, None)
-        nodes = (LATENT, *(self.node_map[v] for v in _bits(mask)))
-        levels = levels or (1,) * len(nodes)
-        hit = self[key] = (ParamEntry(nodes, levels), (len(nodes), nodes, levels))
-        return hit
-
-
-def _expand_equation(
-    coords: _Coordinates, term_masks: list[int], source_set: NodeSet
-) -> list[tuple[tuple, SingularEquation]]:
-    """One equation per level combination of the multi-level nodes involved,
-    each with its terms' sort keys.
-
-    `term_masks` (observed parts, local ids of G_S) come in (size, lexicographic)
-    order, which adding the hidden node keeps, so the terms need no sort; the
-    last one is the union of all.  An equation over binary nodes only is a
-    single equation at level 1 throughout.
-    """
-    multi = _bits(term_masks[-1] & coords.multi)
-    if not multi:
-        entries, keys = zip(*map(coords.__getitem__, term_masks))
-        return [(keys, SingularEquation(entries, source_set))]
-    out = []
-    for combo in product(*(range(1, coords.levels[v]) for v in multi)):
-        level_of = dict(zip(multi, combo))
-        pairs = []
-        for t in term_masks:
-            levels = (1, *(level_of.get(v, 1) for v in _bits(t)))
-            pairs.append(coords[(t, levels) if max(levels) > 1 else t])
-        entries, keys = zip(*pairs)
-        out.append((keys, SingularEquation(entries, source_set)))
-    return out
 
 
 def locus_equations_for_set(m: LatentModel, i0: NodeSet) -> list[SingularEquation]:
@@ -139,6 +159,49 @@ def locus_equations_for_set(m: LatentModel, i0: NodeSet) -> list[SingularEquatio
     return list(_singular_system(m, g_s, node_map, {c_mask: i0}).equations)
 
 
+def _slot_mask(mask: int, width: int, level_of: dict[int, int]) -> int:
+    """The slot mask of the nodes of mask, each at its level in level_of (default 1)."""
+    out = 0
+    for v in _bits(mask):
+        out |= 1 << v * width + level_of.get(v, 1) - 1
+    return out
+
+
+def _sort_key(
+    v0: int, anchored: int, width: int, top: int, bits: Mapping[int, list[int]]
+) -> tuple[int, ...]:
+    """Sort key of the equation with slot masks v0 and anchored: the equations
+    of a system sort on it as on their sequences of term keys (size, nodes,
+    levels), the parameter index's column order.
+
+    The key is |V0|, V0's nodes, V0's levels (left out when width is 1, as
+    every level is then 1), anchored's slots ascending, each a (node, level)
+    pair ordered node first, and last a terminator: -1 when |anchored| <= 1 and
+    `top`, above every slot, when |anchored| >= 2.  `bits` maps a mask to its
+    set bits ascending.
+
+    Proof.  Every term holds V0 and the first is {0} | V0, so the first terms
+    compare on |V0|, V0's nodes, then V0's levels.  Past equal first terms the
+    two equations share V0 and its levels, and terms V0 | I and V0 | J compare
+    as I and J do on (size, nodes, levels): of equal-size node sets the lower
+    in lexicographic order holds the least node of their symmetric difference,
+    which is not in V0, and on equal node sets the first differing level is on
+    a node of I.  The term sequences therefore compare as the subsets of
+    anchored sets A and B in (size, lexicographic) order: the empty set, the
+    singletons by slot, then the pairs and up.  Where the slot lists of A and B
+    first differ at a position both have, the singletons there decide, as the
+    key's slots do.  Where A's slots are a proper prefix of B's, A's next term
+    is a pair when |A| >= 2, which follows B's next singleton (terminator above
+    every slot), and A's sequence ends when |A| <= 1, a prefix of B's, which
+    comes first (terminator below every slot).  Equal slot lists make equal
+    generators, which deduplication leaves out.
+    """
+    slots = bits[v0]
+    if width > 1:
+        slots = [s // width for s in slots] + [s % width for s in slots]
+    return (v0.bit_count(), *slots, *bits[anchored], -1 if anchored.bit_count() < 2 else top)
+
+
 def _singular_system(
     m: LatentModel, g_s: Graph, node_map: tuple[int, ...], failing: dict[int, NodeSet],
 ) -> SingularSystem:
@@ -148,28 +211,39 @@ def _singular_system(
     A failing set C has one equation per complete subset V0 of its complement
     boundary, with terms {V0 | I : I <= anchored}, where anchored holds the nodes
     of C adjacent in G_S to all of V0.  The V0 are enumerated by growing complete
-    sets inside the boundary only.  The pair (V0, anchored) fixes the terms and
-    the terms fix the pair (V0 is the smallest term), so each distinct pair is
-    expanded once, with the first failing set that yields it as the source.  The
-    equations share one ParamEntry per distinct coordinate and are sorted on
-    sort keys computed once per coordinate.
+    sets inside the boundary only, and each distinct pair (V0, anchored) is kept
+    once, with the first failing set that yields it as the source.  A pair over
+    multi-level nodes gives one generator per level combination of those nodes.
+    The generators are sorted on `_sort_key` and share one coordinate table.
     """
     adj, nbhd = g_s.adj, _neighborhoods(g_s)
+    bits = _Built(_bits)  # each distinct mask's bits, read once
+    common = _Built(lambda v0: reduce(and_, map(adj.__getitem__, bits[v0])))
     first: dict[tuple[int, int], NodeSet] = {}
     for c_mask, source_set in failing.items():
         bd_mask = nbhd[c_mask] & ~c_mask
         for v0 in _complete_within(adj, bd_mask):
-            anchored = c_mask
-            for v in _bits(v0):
-                anchored &= adj[v]
-            first.setdefault((v0, anchored), source_set)
-    coords = _Coordinates(m, node_map)
-    keyed: list[tuple[tuple, SingularEquation]] = []
-    for (v0, anchored), source_set in first.items():
-        terms = [v0 | extra for extra in _subsets(anchored)]
-        keyed.extend(_expand_equation(coords, terms, source_set))
-    keyed.sort(key=itemgetter(0))
-    return SingularSystem(equations=tuple(eq for _, eq in keyed))
+            first.setdefault((v0, c_mask & common[v0]), source_set)
+    levels = [m.levels[v] for v in node_map]
+    width = max(levels) - 1
+    if width == 1:
+        gens = [(v0, anchored, source_set) for (v0, anchored), source_set in first.items()]
+    else:
+        multi = _mask_of(v for v, l in enumerate(levels) if l > 2)
+        gens = []
+        for (v0, anchored), source_set in first.items():
+            nodes = _bits((v0 | anchored) & multi)
+            for combo in product(*(range(1, levels[v]) for v in nodes)):
+                level_of = dict(zip(nodes, combo))
+                gens.append((
+                    _slot_mask(v0, width, level_of),
+                    _slot_mask(anchored, width, level_of),
+                    source_set,
+                ))
+    top = len(node_map) * width
+    gens.sort(key=lambda gen: _sort_key(gen[0], gen[1], width, top, bits))
+    coords = _Coordinates(node_map, width)
+    return SingularSystem(tuple(SingularEquation(*gen, coords) for gen in gens))
 
 
 def full_system(m: LatentModel) -> SingularSystem:
@@ -193,17 +267,23 @@ def sample_on_subspace(sys: SingularSystem, idx: ParamIndex, seed) -> np.ndarray
     """A parameter point with all coordinates nonzero satisfying every equation.
 
     Free coordinates follow the standard sampling law.  The equations are
-    brought to echelon form by exact integer elimination: each row's lowest
-    column is eliminated against the row pivoting on it, until the row is empty
-    (dependent, dropped) or its lowest column is a new pivot.  Pivot columns are
-    solved from the highest down, each from its row's other columns in column
-    order; a row elimination never touched keeps every coefficient 1.  Raises
-    InconsistentSystemError when a row reduces to one column, which forces that
-    coordinate to zero; resamples, up to a cap, whenever a solved coordinate
-    lands within 1e-6 of zero.
+    brought to echelon form by exact integer elimination (`_eliminate`) and the
+    point is solved from the rows (`_sample`).  Raises InconsistentSystemError
+    when a row reduces to one column, which forces that coordinate to zero;
+    resamples, up to a cap, whenever a solved coordinate lands within 1e-6 of
+    zero.
     """
-    from .numeric import sample_beta
+    return _sample(_eliminate(sys, idx), idx.p, seed)
 
+
+def _eliminate(sys: SingularSystem, idx: ParamIndex) -> list[list[tuple[int, int]]]:
+    """The system's rows in echelon form, as (column, coefficient) pairs in
+    column order, the rows by pivot column descending.
+
+    Each row's lowest column is eliminated against the row pivoting on it,
+    until the row is empty (dependent, dropped) or its lowest column is a new
+    pivot.  A row elimination never touched keeps every coefficient 1.
+    """
     missing = [t for eq in sys.equations for t in eq.terms if t not in idx.lookup]
     if missing:
         raise InconsistentSystemError(f"coordinate {missing[0].name} is not in the parameter index")
@@ -219,11 +299,18 @@ def sample_on_subspace(sys: SingularSystem, idx: ParamIndex, seed) -> np.ndarray
             raise InconsistentSystemError(f"the equations force {idx.entries[d].name} to zero")
         if row:
             pivots[d] = row
-    rows = [list(pivots[d].items()) for d in sorted(pivots, reverse=True)]
-    seed_key = list(seed) if isinstance(seed, (tuple, list)) else [seed]
+    return [list(pivots[d].items()) for d in sorted(pivots, reverse=True)]
 
+
+def _sample(rows: list[list[tuple[int, int]]], p: int, seed) -> np.ndarray:
+    """A point on the echelon rows of `_eliminate`: the free coordinates drawn,
+    each pivot column solved, from the highest down, from its row's other
+    columns in column order."""
+    from .numeric import sample_beta
+
+    seed_key = list(seed) if isinstance(seed, (tuple, list)) else [seed]
     for attempt in range(100):
-        beta = sample_beta(idx.p, seed_key + [attempt])
+        beta = sample_beta(p, seed_key + [attempt])
         for (d, a_d), *others in rows:
             value = 0.0
             for c, a in others:

@@ -367,6 +367,26 @@ def test_classify_report_matches_pinned_digest(tmp_path, monkeypatch, capsys):
     assert digest == "647ef801aae329419c0d9856fde5fe28f47038b36b07e9c728cbc876a0a83d1c"
 
 
+@pytest.mark.parametrize(
+    "levels, lines, digest",
+    [
+        ({}, 4441, "18b54c3b7a44a919dcce2df690eb51b8644f20541fe1346c61bcc50d4f38717b"),
+        ({1: 3, 4: 3}, 1011, "dfd389f3ab5282763875444490affa95a70b08e912dc6e8767e377a0684a6e1f"),
+    ],
+    ids=["dense12", "dense9_3lev"],
+)
+def test_locus_matches_pinned_digest(tmp_path, capsys, levels, lines, digest):
+    # locus output of a large binary and a large multi-level system, pinned
+    # from the implementation that kept each equation as a list of terms
+    base = dense_model(9 if levels else 12)
+    m = LatentModel(base.graph, tuple(levels.get(v, l) for v, l in enumerate(base.levels)))
+    path = tmp_path / "m.model"
+    path.write_text(model_text(m))
+    code, out, err = run_cli(capsys, "locus", str(path))
+    assert (code, err, len(out.splitlines())) == (0, "", lines)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # generated models of the round-trip test: dense ladders and multi-level nodes
 ROUND_TRIP_MODELS = {
     **{f"dense{n}": dense_model(n) for n in (8, 9, 10)},
@@ -543,6 +563,19 @@ def test_help_exits_0(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert out.startswith("usage: latident")
+
+
+@pytest.mark.parametrize("command", ["classify", "verify", "locus"])
+def test_memory_error_is_an_error_line(monkeypatch, capsys, command):
+    import latident.cli
+
+    def out_of_memory(m):
+        raise MemoryError
+
+    monkeypatch.setattr(latident.cli, "classify", out_of_memory)
+    code, out, err = run_cli(capsys, command, model_path("k4_pendants"))
+    assert (code, out) == (1, "")
+    assert err == f"error: out of memory in the {command} command\n"
 
 
 def test_missing_file_exit_code(capsys):

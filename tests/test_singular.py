@@ -1,5 +1,6 @@
 import hashlib
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from latident import (
     sample_on_subspace,
 )
 from latident import singular
-from latident.singular import SingularEquation
 from latident.loglinear import ParamEntry
 
 from conftest import FIXTURE_NAMES, dense_model, hidden_over_all_graphs, load_model
@@ -102,17 +102,19 @@ def test_full_system_not_applicable_names_the_failed_condition(name, message):
         full_system(load_model(name))
 
 
-def test_each_distinct_equation_is_expanded_once(monkeypatch):
-    calls = []
-    original = singular._expand_equation
+def test_each_distinct_coordinate_is_built_once(monkeypatch):
+    built = []
 
     def counted(*args):
-        calls.append(args)
-        return original(*args)
+        built.append(args)
+        return ParamEntry(*args)
 
-    monkeypatch.setattr(singular, "_expand_equation", counted)
+    monkeypatch.setattr(singular, "ParamEntry", counted)
     system = classify(dense_model(10)).singular_system
-    assert len(calls) == len(system.equations) == 1105
+    assert len(system.equations) == 1105
+    assert built == []  # the terms are built on first use
+    terms = [t for _ in range(2) for eq in system.equations for t in eq.terms]  # each read twice
+    assert len(built) == len(set(terms)) < len(terms)
 
 
 def test_equal_coordinates_are_one_shared_entry():
@@ -200,9 +202,9 @@ def test_sample_on_subspace_deterministic(k4_pendants):
 
 
 def _toy_equation(*term_nodes):
-    """All-binary equation with the terms in the order given."""
-    terms = tuple(ParamEntry(nodes, (1,) * len(nodes)) for nodes in term_nodes)
-    return SingularEquation(terms=terms, source_set=frozenset())
+    """All-binary equation with the terms in the order given, which no generator
+    need yield: the sampler reads only an equation's terms."""
+    return SimpleNamespace(terms=tuple(ParamEntry(nodes, (1,) * len(nodes)) for nodes in term_nodes))
 
 
 def _assert_on_system(beta, system, idx):
@@ -259,11 +261,35 @@ def test_sample_on_subspace_ignores_equation_order(k4_pendants):
         )
 
 
+def test_rank_on_system_eliminates_once(monkeypatch, k4_pendants):
+    from latident import numeric
+
+    calls, points = [], []
+    original = singular._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    def recorded(m, idx, beta):
+        points.append(beta.tobytes())
+        return jacobian(m, idx, beta)
+
+    monkeypatch.setattr(singular, "_eliminate", counted)
+    monkeypatch.setattr(numeric, "jacobian", recorded)
+    system = full_system(k4_pendants)
+    idx = build_param_index(k4_pendants)
+    rank_on_system(k4_pendants, system, trials=5, seed=2, idx=idx)
+    assert len(calls) == 1
+    # every trial's point is the one sample_on_subspace draws for its key
+    assert points == [sample_on_subspace(system, idx, (2, t)).tobytes() for t in range(5)]
+
+
 def test_multi_level_expansion_splits_per_level():
     base = load_model("triangle_pendants")
     m = LatentModel(base.graph, (2, 2, 3, 2, 2, 2, 2))
     system = full_system(m)
-    assert set(system.render()) == {
+    assert {eq.render() for eq in system.equations} == {
         "b{0,2} + b{0,2,5} = 0",
         "b{0,2:2} + b{0,2:2,5} = 0",
         "b{0,3} + b{0,3,4} = 0",
