@@ -151,19 +151,22 @@ def maximal_cliques(g: Graph) -> Iterator[NodeSet]:
 
 
 def _complete_within(adj: tuple[int, ...], within: int) -> list[int]:
-    """Bitmask of every nonempty complete subset of the nodes in `within`, in
-    grow order: each set is extended only by higher nodes adjacent to all of it,
-    so the search visits exactly the complete subsets, each once."""
+    """Bitmask of every nonempty complete subset of the nodes in `within`, by size,
+    then lexicographically: the sets of size k + 1 are those of size k, in order,
+    each extended in ascending order by its candidates, the higher nodes of
+    `within` adjacent to all of it.  A set comes only from itself less its
+    highest node, so each is found once; each carries its candidate mask."""
     found: list[int] = []
-
-    def grow(mask: int, cand: int) -> None:
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            found.append(mask | low)
-            grow(mask | low, cand & adj[low.bit_length() - 1])
-
-    grow(0, within)
+    level = [(0, within)]
+    while level:
+        grown = []
+        for mask, cand in level:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                grown.append((mask | low, cand & adj[low.bit_length() - 1]))
+        found.extend(mask for mask, _ in grown)
+        level = grown
     return found
 
 
@@ -172,8 +175,7 @@ def _complete_masks(g: Graph) -> tuple[int, ...]:
     """Bitmask of every nonempty complete subset, ordered by size, then
     lexicographically.  Each graph is enumerated once; every consumer reads
     this tuple."""
-    found = _complete_within(g.adj, (1 << g.node_count) - 1)
-    return tuple(sorted(found, key=lambda m: (m.bit_count(), _bits(m))))
+    return tuple(_complete_within(g.adj, (1 << g.node_count) - 1))
 
 
 def complete_subsets(g: Graph, min_size: int) -> list[NodeSet]:

@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, NodeSet, _bits, _complete_masks, _complete_within, _mask_of
+from .graph import Graph, NodeSet, _bits, _complete_masks, _mask_of
 
 LATENT = 0
 
@@ -122,12 +122,11 @@ def build_param_index(m: LatentModel) -> ParamIndex:
 
 def param_count(m: LatentModel) -> int:
     """The column count p of `build_param_index(m)`, without building the entries:
-    1 for the general mean plus, over the complete subsets I, the product of
-    levels[v] - 1 over the v in I (1 when every v in I is binary).  Counting
-    needs no order, so the subsets are taken unsorted from the grow search."""
+    1 for the general mean plus, over the complete subsets I in the index's own
+    `_complete_masks` table, the product of levels[v] - 1 over the v in I."""
     less = [l - 1 for l in m.levels]
     multi = _mask_of(v for v, l in enumerate(less) if l > 1)
-    found = _complete_within(m.graph.adj, (1 << m.graph.node_count) - 1)
+    found = _complete_masks(m.graph)
     return 1 + sum(math.prod([less[v] for v in _bits(c & multi)]) for c in found)
 
 

@@ -11,8 +11,9 @@ Rank is measured by full SVD with a relative tolerance and a gap rule: when the
 singular values do not drop by at least 1e3 across the chosen cut, the report
 is flagged ambiguous instead of silently committing.
 
-Every stochastic operation takes an explicit seed; trial t of a batch draws
-from the stream keyed by (seed, t), so results do not depend on scheduling.
+Every point is drawn here, free or on a singular system.  Every stochastic
+operation takes an explicit seed; trial t of a batch draws from the stream
+keyed by (seed, t), so results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from numpy.typing import NDArray
 from .errors import (
     DimensionMismatchError,
     ExponentOverflowError,
+    InconsistentSystemError,
     ValidationError,
 )
 from .loglinear import LatentModel, ParamIndex, build_param_index, design_matrix
@@ -63,6 +65,52 @@ def sample_beta(p: int, seed) -> NDArray[np.float64]:
     magnitudes = rng.uniform(_BETA_LOW, _BETA_HIGH, p)
     signs = 2 * rng.integers(0, 2, p) - 1
     return signs * magnitudes
+
+
+def _eliminate(sys, idx: ParamIndex) -> list[list[tuple[int, int]]]:
+    """The singular system's rows in echelon form, as (column, coefficient)
+    pairs in column order, the rows by pivot column descending.
+
+    Each row's lowest column is eliminated against the row pivoting on it,
+    until the row is empty (dependent, dropped) or its lowest column is a new
+    pivot.  A row elimination never touched keeps every coefficient 1.
+    """
+    missing = [t for eq in sys.equations for t in eq.terms if t not in idx.lookup]
+    if missing:
+        raise InconsistentSystemError(f"coordinate {missing[0].name} is not in the parameter index")
+    pivots: dict[int, dict[int, int]] = {}  # lowest column -> its row, columns ascending
+    for eq in sys.equations:
+        row = dict.fromkeys(sorted(idx.lookup[t] for t in eq.terms), 1)
+        while row and (d := next(iter(row))) in pivots:
+            piv = pivots[d]
+            a, b = piv[d], row[d]  # a * row - b * piv, exact in Python ints
+            combined = ((c, a * row.get(c, 0) - b * piv.get(c, 0)) for c in sorted(row | piv))
+            row = {c: x for c, x in combined if x}
+        if len(row) == 1:
+            raise InconsistentSystemError(f"the equations force {idx.entries[d].name} to zero")
+        if row:
+            pivots[d] = row
+    return [list(pivots[d].items()) for d in sorted(pivots, reverse=True)]
+
+
+def _sample(rows: list[list[tuple[int, int]]], p: int, seed) -> np.ndarray:
+    """A point on the echelon rows of `_eliminate`: the free coordinates drawn,
+    each pivot column solved, from the highest down, from its row's other
+    columns in column order."""
+    seed_key = list(seed) if isinstance(seed, (tuple, list)) else [seed]
+    for attempt in range(100):
+        beta = sample_beta(p, seed_key + [attempt])
+        for (d, a_d), *others in rows:
+            value = 0.0
+            for c, a in others:
+                value -= a * beta[c]
+            beta[d] = value / a_d
+        if all(abs(beta[row[0][0]]) > 1e-6 for row in rows):
+            return beta
+    raise InconsistentSystemError(
+        "could not sample a point with all coordinates nonzero; "
+        "some equation may force a coordinate to zero"
+    )
 
 
 @lru_cache(maxsize=1)  # verify and rank reuse only the current model's Z
@@ -190,8 +238,6 @@ def rank_on_system(
     solved from those rows, the point `sample_on_subspace` draws for that key.
     All draws are expected to agree; `unanimous` records whether they did.
     """
-    from .singular import _eliminate, _sample
-
     return _trial_loop(
         m, idx, trials, seed, tol, lambda idx: partial(_sample, _eliminate(sys, idx), idx.p)
     )

@@ -5,14 +5,14 @@ one equation per complete subset V0 of its complement boundary and per level
 combination of the multi-level nodes involved.  With anchored the nodes of C
 adjacent in G_S to all of V0, the coordinates of {0} | V0 | I over the subsets
 I of anchored sum to zero.  Equations may share coordinates and may depend on
-each other; `sample_on_subspace` solves any such system by exact elimination
-over its integer rows.
+each other; `sample_on_subspace` solves any such system by the oracle's exact
+elimination over its integer rows (`numeric`).
 
 A model's system is built from the observed context that `classify` already
 holds (G_S, the subgraph on the hidden node's neighbours, and the failing sets);
 `full_system` reads it off the verdict.  For each failing set only the complete
-subsets inside its boundary are enumerated, by the grow search of `graph`.  The
-pair (V0, anchored) fixes the terms and the terms fix the pair (V0 is the
+subsets inside its boundary are enumerated, by `graph`'s complete-subset walk.
+The pair (V0, anchored) fixes the terms and the terms fix the pair (V0 is the
 smallest term), so pairs are deduplicated, first failing set kept as source.
 
 An equation is kept as its generator, never as a list of terms: V0 and
@@ -30,17 +30,18 @@ each generator (`_sort_key`) that orders them as their terms' sort keys do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain, combinations, product, repeat
 from operator import and_, or_
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import InconsistentSystemError, NotApplicableError
+from .errors import NotApplicableError
 from .graph import Graph, NodeSet, _bits, _complete_within, _mask_of, induced_subgraph
 from .identify import _neighborhoods, _plain_ok, classify, latent_partition
 from .loglinear import LATENT, LatentModel, ParamEntry, ParamIndex
+from .numeric import _eliminate, _sample
 
 
 class _Built(dict):
@@ -57,7 +58,8 @@ class _Built(dict):
 
 class _Coordinates:
     """A system's coordinate table: `entries` and `names` map a slot mask of G_S
-    to its ParamEntry and its name, each built on first lookup.
+    to its ParamEntry and its name, and `subsets` an anchored mask to its
+    subsets, each built on first lookup and kept as long as the system.
 
     Slot s stands for node node_map[s // width] at level s % width + 1.  Two
     tables are equal when they read every slot mask alike.
@@ -68,6 +70,7 @@ class _Coordinates:
         self.width = width
         self.entries = _Built(self._entry)
         self.names = _Built(lambda slots: self.entries[slots].name)
+        self.subsets = _Built(_subsets)
 
     def _entry(self, slots: int) -> ParamEntry:
         w, bits = self.width, _bits(slots)
@@ -84,7 +87,6 @@ class _Coordinates:
         return hash((self.node_map, self.width))
 
 
-@lru_cache(maxsize=4096)
 def _subsets(mask: int) -> tuple[int, ...]:
     """Every subset of mask, the empty one first, in (size, lexicographic) order."""
     singles = [1 << v for v in _bits(mask)]
@@ -110,7 +112,7 @@ class SingularEquation:
     coords: _Coordinates = field(repr=False)
 
     def _slots(self) -> Iterator[int]:
-        return map(or_, repeat(self.v0), _subsets(self.anchored))
+        return map(or_, repeat(self.v0), self.coords.subsets[self.anchored])
 
     @property
     def terms(self) -> tuple[ParamEntry, ...]:
@@ -210,8 +212,8 @@ def _singular_system(
 
     A failing set C has one equation per complete subset V0 of its complement
     boundary, with terms {V0 | I : I <= anchored}, where anchored holds the nodes
-    of C adjacent in G_S to all of V0.  The V0 are enumerated by growing complete
-    sets inside the boundary only, and each distinct pair (V0, anchored) is kept
+    of C adjacent in G_S to all of V0.  The V0 are the complete subsets of the
+    boundary only, in any order, and each distinct pair (V0, anchored) is kept
     once, with the first failing set that yields it as the source.  A pair over
     multi-level nodes gives one generator per level combination of those nodes.
     The generators are sorted on `_sort_key` and share one coordinate table.
@@ -264,61 +266,11 @@ def full_system(m: LatentModel) -> SingularSystem:
 
 
 def sample_on_subspace(sys: SingularSystem, idx: ParamIndex, seed) -> np.ndarray:
-    """A parameter point with all coordinates nonzero satisfying every equation.
-
-    Free coordinates follow the standard sampling law.  The equations are
-    brought to echelon form by exact integer elimination (`_eliminate`) and the
-    point is solved from the rows (`_sample`).  Raises InconsistentSystemError
-    when a row reduces to one column, which forces that coordinate to zero;
-    resamples, up to a cap, whenever a solved coordinate lands within 1e-6 of
-    zero.
+    """A parameter point with all coordinates nonzero satisfying every equation:
+    the oracle's draw (`numeric._sample`) on the echelon rows of one exact
+    integer elimination (`numeric._eliminate`).  Free coordinates follow the
+    standard sampling law.  Raises InconsistentSystemError when a row reduces
+    to one column, which forces that coordinate to zero; resamples, up to a
+    cap, whenever a solved coordinate lands within 1e-6 of zero.
     """
     return _sample(_eliminate(sys, idx), idx.p, seed)
-
-
-def _eliminate(sys: SingularSystem, idx: ParamIndex) -> list[list[tuple[int, int]]]:
-    """The system's rows in echelon form, as (column, coefficient) pairs in
-    column order, the rows by pivot column descending.
-
-    Each row's lowest column is eliminated against the row pivoting on it,
-    until the row is empty (dependent, dropped) or its lowest column is a new
-    pivot.  A row elimination never touched keeps every coefficient 1.
-    """
-    missing = [t for eq in sys.equations for t in eq.terms if t not in idx.lookup]
-    if missing:
-        raise InconsistentSystemError(f"coordinate {missing[0].name} is not in the parameter index")
-    pivots: dict[int, dict[int, int]] = {}  # lowest column -> its row, columns ascending
-    for eq in sys.equations:
-        row = dict.fromkeys(sorted(idx.lookup[t] for t in eq.terms), 1)
-        while row and (d := next(iter(row))) in pivots:
-            piv = pivots[d]
-            a, b = piv[d], row[d]  # a * row - b * piv, exact in Python ints
-            combined = ((c, a * row.get(c, 0) - b * piv.get(c, 0)) for c in sorted(row | piv))
-            row = {c: x for c, x in combined if x}
-        if len(row) == 1:
-            raise InconsistentSystemError(f"the equations force {idx.entries[d].name} to zero")
-        if row:
-            pivots[d] = row
-    return [list(pivots[d].items()) for d in sorted(pivots, reverse=True)]
-
-
-def _sample(rows: list[list[tuple[int, int]]], p: int, seed) -> np.ndarray:
-    """A point on the echelon rows of `_eliminate`: the free coordinates drawn,
-    each pivot column solved, from the highest down, from its row's other
-    columns in column order."""
-    from .numeric import sample_beta
-
-    seed_key = list(seed) if isinstance(seed, (tuple, list)) else [seed]
-    for attempt in range(100):
-        beta = sample_beta(p, seed_key + [attempt])
-        for (d, a_d), *others in rows:
-            value = 0.0
-            for c, a in others:
-                value -= a * beta[c]
-            beta[d] = value / a_d
-        if all(abs(beta[row[0][0]]) > 1e-6 for row in rows):
-            return beta
-    raise InconsistentSystemError(
-        "could not sample a point with all coordinates nonzero; "
-        "some equation may force a coordinate to zero"
-    )

@@ -441,6 +441,33 @@ def test_classify_builds_no_param_index(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_verify_walks_each_graph_once(monkeypatch, capsys):
+    # from cold caches, verify enumerates the complete subsets of G_S once and
+    # those of the model graph once: p and the parameter index share one walk
+    from latident import graph, latent_partition
+    from latident.graph import induced_subgraph
+
+    calls = []
+    original = graph._complete_within
+
+    def counted(adj, within):
+        calls.append(adj)
+        return original(adj, within)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("latident"):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+            if getattr(module, "_complete_within", None) is original:
+                monkeypatch.setattr(module, "_complete_within", counted)
+    m = load_model("path5")
+    g_s, _ = induced_subgraph(m.graph, latent_partition(m)[0])
+    code, _, _ = run_cli(capsys, "verify", model_path("path5"), "--trials", "3")
+    assert code == 0
+    assert calls == [g_s.adj, m.graph.adj]
+
+
 def test_locus_on_identified_model(capsys):
     code, out, err = run_cli(capsys, "locus", model_path("path5"))
     assert code == 0
@@ -576,6 +603,28 @@ def test_memory_error_is_an_error_line(monkeypatch, capsys, command):
     code, out, err = run_cli(capsys, command, model_path("k4_pendants"))
     assert (code, out) == (1, "")
     assert err == f"error: out of memory in the {command} command\n"
+
+
+def test_memory_error_mid_report_leaves_a_prefix(monkeypatch, capsys):
+    # the report is streamed, so what was written before the MemoryError stays
+    # on stdout: a reader checks the exit code before parsing
+    from latident import SingularEquation
+
+    _, full, _ = run_cli(capsys, "classify", model_path("k4_pendants"))
+    calls = []
+    names = SingularEquation.names
+
+    def second_call_fails(eq):
+        calls.append(eq)
+        if len(calls) == 2:
+            raise MemoryError
+        return names.fget(eq)
+
+    monkeypatch.setattr(SingularEquation, "names", property(second_call_fails))
+    code, out, err = run_cli(capsys, "classify", model_path("k4_pendants"))
+    assert code == 1
+    assert err == "error: out of memory in the classify command\n"
+    assert out and full.startswith(out) and len(out) < len(full)
 
 
 def test_missing_file_exit_code(capsys):

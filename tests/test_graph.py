@@ -12,7 +12,7 @@ from latident import (
     induced_subgraph,
     maximal_cliques,
 )
-from latident.graph import _complete_masks, _set_of
+from latident.graph import _complete_masks, _complete_within, _set_of
 
 PATH5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
@@ -214,16 +214,25 @@ def test_complete_subsets_match_clique_subsets():
 
 
 def test_complete_subsets_brute_force_cross_check():
+    # the reference sorts the brute-force sets by size, then sorted nodes:
+    # the walk must yield that column order itself, on any `within` mask
     rng = random.Random(3)
-    for _ in range(15):
-        g = random_graph(rng, rng.randint(1, 7))
-        brute = {
-            frozenset(t)
-            for r in range(2, g.node_count + 1)
-            for t in combinations(range(g.node_count), r)
-            if g.is_complete_set(t)
-        }
-        assert set(complete_subsets(g, 2)) == brute
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.9))
+        brute = sorted(
+            {
+                frozenset(t)
+                for r in range(1, g.node_count + 1)
+                for t in combinations(range(g.node_count), r)
+                if g.is_complete_set(t)
+            },
+            key=lambda s: (len(s), sorted(s)),
+        )
+        assert complete_subsets(g, 2) == [s for s in brute if len(s) >= 2]
+        within = rng.getrandbits(g.node_count)
+        assert [_set_of(m) for m in _complete_within(g.adj, within)] == [
+            s for s in brute if s <= _set_of(within)
+        ]
 
 
 def test_is_connected_examples():

@@ -265,7 +265,7 @@ def test_rank_on_system_eliminates_once(monkeypatch, k4_pendants):
     from latident import numeric
 
     calls, points = [], []
-    original = singular._eliminate
+    original = numeric._eliminate
 
     def counted(*args):
         calls.append(args)
@@ -275,7 +275,7 @@ def test_rank_on_system_eliminates_once(monkeypatch, k4_pendants):
         points.append(beta.tobytes())
         return jacobian(m, idx, beta)
 
-    monkeypatch.setattr(singular, "_eliminate", counted)
+    monkeypatch.setattr(numeric, "_eliminate", counted)
     monkeypatch.setattr(numeric, "jacobian", recorded)
     system = full_system(k4_pendants)
     idx = build_param_index(k4_pendants)
