@@ -28,12 +28,14 @@ from typing import IO
 
 import numpy as np
 
-from .errors import DimensionMismatchError, LatidentError, ParseError, ValidationError
+from .errors import (
+    DimensionMismatchError, LatidentError, NotApplicableError, ParseError, ValidationError,
+)
 from .graph import Graph, NodeSet
 from .identify import Status, Verdict, classify
 from .loglinear import LatentModel, ParamIndex, build_param_index, design_cells, param_count
 from .numeric import RankReport, generic_rank, jacobian, numeric_rank, rank_on_system, sample_beta
-from .singular import SingularSystem
+from .singular import SingularSystem, full_system
 
 SCHEMA_VERSION = 1
 
@@ -113,26 +115,22 @@ def parse_model(source: str | IO[str]) -> LatentModel:
         raise ValidationError(f"a model of {node_count} nodes is too large to hold") from None
 
 
-def _nodes(ns) -> list[int]:
-    return sorted(ns)
-
-
 def _verdict_block(verdict: Verdict) -> dict:
     return {
         "status": verdict.status.value,
         "probe_only": verdict.probe_only,
-        "s_nodes": _nodes(verdict.s_nodes),
-        "t1_nodes": _nodes(verdict.t1_nodes),
-        "m_clique": _nodes(verdict.m_clique) if verdict.m_clique is not None else None,
+        "s_nodes": sorted(verdict.s_nodes),
+        "t1_nodes": sorted(verdict.t1_nodes),
+        "m_clique": sorted(verdict.m_clique) if verdict.m_clique is not None else None,
         "cliques": [
             {
-                "clique": _nodes(clique),
-                "sequence": [_nodes(s) for s in cert.chain] if cert else None,
+                "clique": sorted(clique),
+                "sequence": [sorted(s) for s in cert.chain] if cert else None,
             }
             for clique, cert in verdict.clique_certs
         ],
-        "failed_cliques": [_nodes(c) for c in verdict.failed_cliques],
-        "failing_complete_sets": [_nodes(s) for s in verdict.failing_sets],
+        "failed_cliques": [sorted(c) for c in verdict.failed_cliques],
+        "failing_complete_sets": [sorted(s) for s in verdict.failing_sets],
     }
 
 
@@ -178,7 +176,7 @@ def _write_system(write, system: SingularSystem) -> None:
     def node_list(ns: NodeSet | tuple[int, ...]) -> str:
         text = encoded.get(ns)
         if text is None:
-            items = ",\n".join(f"          {v}" for v in _nodes(ns))
+            items = ",\n".join(f"          {v}" for v in sorted(ns))
             text = encoded[ns] = f"[\n{items}\n        ]" if ns else "[]"
         return text
 
@@ -260,25 +258,22 @@ def cmd_verify(path: str, trials: int, seed: int, tol: float | None) -> int:
             m, verdict.singular_system, trials=trials, seed=seed, idx=idx, tol=tol
         )
 
+    full = generic.rank == idx.p  # generic.rank is the top trial rank
     if verdict.status is Status.IDENTIFIED_EVERYWHERE:
         expectation = "generic rank equals p"
-        consistent = generic.rank == idx.p
+        consistent = full
     elif verdict.status is Status.NOT_IDENTIFIED:
         expectation = "every sampled rank is below p"
-        consistent = all(r < idx.p for r in generic.trial_ranks or ())
+        consistent = not full
     elif verdict.probe_only:
         expectation = (
             "generic rank equals p; the singular subset has no closed form here, "
             "probe suspect points with the rank command"
         )
-        consistent = generic.rank == idx.p
-    else:
+        consistent = full
+    else:  # classify attaches a system to every such verdict
         expectation = "generic rank equals p and the on-subspace rank is below p"
-        consistent = (
-            generic.rank == idx.p
-            and on_system is not None
-            and on_system.rank < idx.p
-        )
+        consistent = full and on_system.rank < idx.p
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -340,20 +335,13 @@ def cmd_rank(path: str, beta_path: str | None, seed: int, tol: float | None) -> 
 
 
 def cmd_locus(path: str) -> int:
-    m = parse_model(path)
-    verdict = classify(m)
-    if verdict.singular_system is None:
-        if verdict.probe_only:
-            print(
-                "no closed-form singular system for this shape; "
-                "probe candidate points with the rank command",
-                file=sys.stderr,
-            )
-        else:
-            print("no singular system: " + verdict.status.value, file=sys.stderr)
-        return EXIT_OK
-    for eq in verdict.singular_system.equations:
-        print(eq.render())
+    try:
+        system = full_system(parse_model(path))
+    except NotApplicableError as exc:
+        print(exc, file=sys.stderr)
+    else:
+        for eq in system.equations:
+            print(eq.render())
     return EXIT_OK
 
 

@@ -137,7 +137,11 @@ class Verdict:
     clique_certs: tuple[tuple[NodeSet, "SequenceCert | None"], ...]
     failing_sets: tuple[NodeSet, ...]
     singular_system: "SingularSystem | None"
-    probe_only: bool
+
+    @property
+    def probe_only(self) -> bool:
+        """No complement 3-clique and G_S connected: no closed-form singular subset."""
+        return self.status is Status.GENERICALLY_IDENTIFIED and self.m_clique is None
 
     @property
     def failed_cliques(self) -> tuple[NodeSet, ...]:
@@ -286,11 +290,10 @@ def classify(m: LatentModel) -> Verdict:
     clique_certs: list[tuple[NodeSet, SequenceCert | None]] = []
     failing_sets: list[NodeSet] = []
     system = None
-    probe_only = False
     if m_clique is None:
         # With no complement 3-clique, a disconnected G_S is two complete components.
-        probe_only = len(connected_components(g_s)) == 1
-        status = Status.GENERICALLY_IDENTIFIED if probe_only else Status.NOT_IDENTIFIED
+        connected = len(connected_components(g_s)) == 1
+        status = Status.GENERICALLY_IDENTIFIED if connected else Status.NOT_IDENTIFIED
     else:
         for cl in maximal_cliques(g_s):
             if len(cl) > 1:
@@ -314,5 +317,4 @@ def classify(m: LatentModel) -> Verdict:
         clique_certs=tuple(clique_certs),
         failing_sets=tuple(failing_sets),
         singular_system=system,
-        probe_only=probe_only,
     )

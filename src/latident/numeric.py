@@ -75,12 +75,13 @@ def _eliminate(sys, idx: ParamIndex) -> list[list[tuple[int, int]]]:
     until the row is empty (dependent, dropped) or its lowest column is a new
     pivot.  A row elimination never touched keeps every coefficient 1.
     """
-    missing = [t for eq in sys.equations for t in eq.terms if t not in idx.lookup]
-    if missing:
-        raise InconsistentSystemError(f"coordinate {missing[0].name} is not in the parameter index")
+    try:  # each equation's terms are read once, all looked up before any elimination
+        rows = [dict.fromkeys(sorted(idx.lookup[t] for t in eq.terms), 1) for eq in sys.equations]
+    except KeyError as exc:
+        name = exc.args[0].name
+        raise InconsistentSystemError(f"coordinate {name} is not in the parameter index") from None
     pivots: dict[int, dict[int, int]] = {}  # lowest column -> its row, columns ascending
-    for eq in sys.equations:
-        row = dict.fromkeys(sorted(idx.lookup[t] for t in eq.terms), 1)
+    for row in rows:
         while row and (d := next(iter(row))) in pivots:
             piv = pivots[d]
             a, b = piv[d], row[d]  # a * row - b * piv, exact in Python ints

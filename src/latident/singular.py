@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import NotApplicableError
 from .graph import Graph, NodeSet, _bits, _complete_within, _mask_of, induced_subgraph
-from .identify import _neighborhoods, _plain_ok, classify, latent_partition
+from .identify import Status, _neighborhoods, _plain_ok, classify, latent_partition
 from .loglinear import LATENT, LatentModel, ParamEntry, ParamIndex
 from .numeric import _eliminate, _sample
 
@@ -248,21 +248,30 @@ def _singular_system(
     return SingularSystem(tuple(SingularEquation(*gen, coords) for gen in gens))
 
 
+# Why a verdict of each status has no closed-form singular system: classify
+# attaches one to every generically identified verdict that is not probe-only.
+_NO_SYSTEM = {
+    Status.IDENTIFIED_EVERYWHERE: "no singular system: identified_everywhere "
+    "(every clique has a generalized identifying sequence)",
+    Status.NOT_IDENTIFIED: "no singular system: not_identified (no 3-clique in the complement "
+    "and G_S is two complete components: the rank is below p everywhere)",
+    Status.GENERICALLY_IDENTIFIED: "no closed-form singular system: no 3-clique in the "
+    "complement; probe candidate points with the rank command",
+}
+
+
 def full_system(m: LatentModel) -> SingularSystem:
     """The singular system that classify attaches to the model.
 
     Applies to models where the complement of the observed subgraph has a
     clique of size >= 3 but some clique of the observed subgraph has no
-    generalized identifying sequence; raises NotApplicableError otherwise.
+    generalized identifying sequence.  Otherwise raises NotApplicableError
+    with the reason the verdict's case has no closed-form system.
     """
     verdict = classify(m)
-    if verdict.singular_system is not None:
-        return verdict.singular_system
-    if verdict.m_clique is None:
-        raise NotApplicableError(
-            "no 3-clique in the complement; the singular set is probed numerically only"
-        )
-    raise NotApplicableError("every clique has a generalized identifying sequence")
+    if verdict.singular_system is None:
+        raise NotApplicableError(_NO_SYSTEM[verdict.status])
+    return verdict.singular_system
 
 
 def sample_on_subspace(sys: SingularSystem, idx: ParamIndex, seed) -> np.ndarray:

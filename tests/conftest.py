@@ -41,6 +41,13 @@ def star_model(n: int) -> LatentModel:
     )
 
 
+def five_cycle_model() -> LatentModel:
+    """Hidden node adjacent to an observed 5-cycle, whose complement is again a
+    5-cycle with no triangle: the probe-only case."""
+    edges = [(0, v) for v in range(1, 6)] + [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+    return LatentModel.binary(Graph.from_edges(6, edges))
+
+
 def dense_model(n: int) -> LatentModel:
     """K_n minus {1-2, 1-3, 2-3, 4-5, 6-7} on the observed nodes, hidden node
     adjacent to all: many complete subsets, most without a plain sequence."""

@@ -594,12 +594,14 @@ def test_help_exits_0(capsys):
 
 @pytest.mark.parametrize("command", ["classify", "verify", "locus"])
 def test_memory_error_is_an_error_line(monkeypatch, capsys, command):
-    import latident.cli
+    from latident import classify
 
     def out_of_memory(m):
         raise MemoryError
 
-    monkeypatch.setattr(latident.cli, "classify", out_of_memory)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("latident") and getattr(module, "classify", None) is classify:
+            monkeypatch.setattr(module, "classify", out_of_memory)
     code, out, err = run_cli(capsys, command, model_path("k4_pendants"))
     assert (code, out) == (1, "")
     assert err == f"error: out of memory in the {command} command\n"

@@ -33,7 +33,9 @@ from latident.identify import (
     _plain_ok,
 )
 
-from conftest import dense_model, hidden_over_all_graphs, load_model, sparse_model, star_model
+from conftest import (
+    dense_model, five_cycle_model, hidden_over_all_graphs, load_model, sparse_model, star_model,
+)
 
 
 def observed_graph(name):
@@ -190,10 +192,7 @@ def test_classify_triangle_pendants(triangle_pendants):
 
 
 def test_classify_probe_only_on_five_cycle():
-    # observed 5-cycle: its complement is again a 5-cycle with no triangle
-    edges = [(0, v) for v in range(1, 6)]
-    edges += [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
-    verdict = classify(LatentModel.binary(Graph.from_edges(6, edges)))
+    verdict = classify(five_cycle_model())
     assert verdict.status is Status.GENERICALLY_IDENTIFIED
     assert verdict.probe_only
     assert verdict.singular_system is None
@@ -306,6 +305,7 @@ def test_classify_covers_every_shape_hidden_adjacent_to_all():
         connected = len(connected_components(verdict.s_graph)) == 1
         expected = not connected and not comp_triangle
         assert (verdict.status is Status.NOT_IDENTIFIED) == expected, sorted(observed)
+        assert verdict.probe_only == (connected and not comp_triangle), sorted(observed)
         seen += 1
     assert seen == 1099
 

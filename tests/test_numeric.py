@@ -26,7 +26,7 @@ from latident import (
     sample_beta,
 )
 
-from conftest import FIXTURE_NAMES, load_model, star_model
+from conftest import FIXTURE_NAMES, five_cycle_model, load_model, star_model
 
 SINGLE_EDGE = LatentModel.binary(Graph.from_edges(2, [(0, 1)]))
 
@@ -199,9 +199,7 @@ def test_verdict_agrees_with_numeric_rank(name):
 
 
 def test_probe_only_five_cycle_generically_full_rank():
-    edges = [(0, v) for v in range(1, 6)]
-    edges += [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
-    m = LatentModel.binary(Graph.from_edges(6, edges))
+    m = five_cycle_model()
     verdict = classify(m)
     assert verdict.probe_only
     idx = build_param_index(m)

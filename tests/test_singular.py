@@ -22,9 +22,12 @@ from latident import (
     sample_on_subspace,
 )
 from latident import singular
+from latident.cli import main
 from latident.loglinear import ParamEntry
 
-from conftest import FIXTURE_NAMES, dense_model, hidden_over_all_graphs, load_model
+from conftest import (
+    FIXTURE_NAMES, dense_model, five_cycle_model, hidden_over_all_graphs, load_model, model_text,
+)
 
 TRIANGLE_PENDANTS_SYSTEM = {
     "b{0,2} + b{0,2,5} = 0",
@@ -95,11 +98,26 @@ def test_full_system_not_applicable_when_identified(path5):
         ("path5", "every clique has a generalized identifying sequence"),
         ("path3_isolated", "every clique has a generalized identifying sequence"),
         ("triangle_isolated", "no 3-clique in the complement"),
+        ("five_cycle", "no 3-clique in the complement"),
     ],
 )
-def test_full_system_not_applicable_names_the_failed_condition(name, message):
-    with pytest.raises(NotApplicableError, match=message):
-        full_system(load_model(name))
+def test_full_system_not_applicable_names_the_failed_condition(tmp_path, capsys, name, message):
+    m = five_cycle_model() if name == "five_cycle" else load_model(name)
+    with pytest.raises(NotApplicableError, match=message) as info:
+        full_system(m)
+    reason = str(info.value)
+    verdict = classify(m)
+    if verdict.probe_only:
+        assert reason.startswith("no closed-form singular system: ")
+        assert "probe candidate points with the rank command" in reason
+    else:
+        assert reason.startswith(f"no singular system: {verdict.status.value} (")
+        assert "probe" not in reason
+    # locus gives the same reason on stderr, prints no equation and exits 0
+    path = tmp_path / "m.model"
+    path.write_text(model_text(m))
+    assert main(["locus", str(path)]) == 0
+    assert capsys.readouterr() == ("", reason + "\n")
 
 
 def test_each_distinct_coordinate_is_built_once(monkeypatch):
@@ -237,6 +255,35 @@ def test_sample_on_subspace_rejects_a_forced_zero(path5, term_lists, name):
     system = SingularSystem(tuple(_toy_equation(*terms) for terms in term_lists))
     with pytest.raises(InconsistentSystemError, match=rf"^the equations force {name} to zero$"):
         sample_on_subspace(system, idx, 0)
+
+
+def test_rank_on_system_rejects_a_coordinate_outside_the_index(path5, k4_pendants):
+    # k4_pendants' first equation is b{0,1} + b{0,1,4}, and {1, 4} is no edge of path5
+    message = r"^coordinate b\{0,1,4\} is not in the parameter index$"
+    with pytest.raises(InconsistentSystemError, match=message):
+        rank_on_system(path5, full_system(k4_pendants), trials=1, seed=0)
+    # every equation is looked up before any is eliminated, so the missing
+    # coordinate is named even after an equation that forces a zero
+    forced_first = SingularSystem((_toy_equation((0, 2, 3)), _toy_equation((0, 1), (0, 1, 4))))
+    with pytest.raises(InconsistentSystemError, match=message):
+        sample_on_subspace(forced_first, build_param_index(path5), 0)
+
+
+def test_elimination_reads_each_equation_terms_once(monkeypatch, k4_pendants):
+    from latident import SingularEquation, numeric
+
+    reads = []
+    terms = SingularEquation.terms
+
+    def counted(eq):
+        reads.append(eq)
+        return terms.fget(eq)
+
+    system = full_system(k4_pendants)
+    idx = build_param_index(k4_pendants)
+    monkeypatch.setattr(SingularEquation, "terms", property(counted))
+    numeric._eliminate(system, idx)
+    assert reads == list(system.equations)
 
 
 def test_sample_on_subspace_ignores_term_order(path5):
