@@ -33,11 +33,13 @@ from .errors import (
 )
 from .graph import Graph, NodeSet
 from .identify import Status, Verdict, classify
-from .loglinear import LatentModel, ParamIndex, build_param_index, design_cells, param_count
+from .loglinear import (
+    LatentModel, ParamIndex, _core, build_param_index, design_cells, param_count,
+)
 from .numeric import RankReport, generic_rank, jacobian, numeric_rank, rank_on_system, sample_beta
-from .singular import SingularSystem, full_system
+from .singular import SingularSystem, _on_core, full_system
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -194,8 +196,7 @@ def _write_system(write, system: SingularSystem) -> None:
             f'        "source_boundary_subset": {node_list(eq.boundary_subset)}\n      }}'
         )
         sep = ",\n"
-    write("\n    ]" if equations else "]")
-    write(',\n    "expected_rank_drop_full": null\n  }')  # schema 1 keeps the key; never computed
+    write("\n    ]\n  }" if equations else "]\n  }")
 
 
 _INDENTED = json.JSONEncoder(indent=2)  # the encoder json.dumps(..., indent=2) builds per call
@@ -249,13 +250,15 @@ def cmd_verify(path: str, trials: int, seed: int, tol: float | None) -> int:
     _check_seed_tol(seed, tol)
     m = parse_model(path)
     verdict = classify(m)
-    design_cells(m, param_count(m))  # refuses an oversized design before the index is built
-    idx = build_param_index(m)
-    generic = generic_rank(m, trials=trials, seed=seed, idx=idx, tol=tol)
+    # The ranks are taken on the core, which has the model's rank deficit (see _core).
+    core, ids = _core(m)
+    design_cells(core, param_count(core))  # refuses an oversized design before the index is built
+    idx = ParamIndex(build_param_index(core).entries, ids)
+    generic = generic_rank(core, trials=trials, seed=seed, idx=idx, tol=tol)
     on_system = None
     if verdict.singular_system is not None:
         on_system = rank_on_system(
-            m, verdict.singular_system, trials=trials, seed=seed, idx=idx, tol=tol
+            core, _on_core(verdict.singular_system), trials=trials, seed=seed, idx=idx, tol=tol
         )
 
     full = generic.rank == idx.p  # generic.rank is the top trial rank
@@ -279,7 +282,8 @@ def cmd_verify(path: str, trials: int, seed: int, tol: float | None) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
         "model": _model_block(m, path),
-        "p": idx.p,
+        "p": param_count(m),
+        "core": {"nodes": list(ids), "p": idx.p},
         "trials": trials,
         "seed": seed,
         "verdict": _verdict_block(verdict),

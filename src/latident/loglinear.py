@@ -4,7 +4,9 @@ Builds the parameter index (one coordinate per complete subset and non-baseline
 level combination, corner-point coding) and the 0/1 design matrix mapping
 parameters to log expected cell counts.  Summing out the hidden variable is the
 sum of the two hidden-level halves of a cell vector; `marginalization_matrix`
-spells that sum out as the dense matrix L = [I I] for tests only.
+spells that sum out as the dense matrix L = [I I] for tests only.  `_core`
+gives the model induced on the hidden node and its neighbours, whose Jacobian
+has the model's rank deficit.
 
 Cell stacking convention: the hidden variable A0 changes slowest, then A1, down
 to An changing fastest (row-major order over (2, l1, ..., ln)).
@@ -20,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, NodeSet, _bits, _complete_masks, _mask_of
+from .graph import Graph, NodeSet, _bits, _complete_masks, _mask_of, induced_subgraph
 
 LATENT = 0
 
@@ -89,9 +91,14 @@ class ParamEntry:
 
 @dataclass(frozen=True)
 class ParamIndex:
-    """Ordered parameter coordinates with a coordinate -> column lookup."""
+    """Ordered parameter coordinates with a coordinate -> column lookup.
+
+    The index of a model's core (`_core`) holds the core's ids in its entries,
+    and in `node_ids` the model id of each core node, in which it names them.
+    """
 
     entries: tuple[ParamEntry, ...]
+    node_ids: tuple[int, ...] | None = None
 
     @cached_property
     def lookup(self) -> dict[ParamEntry, int]:
@@ -101,8 +108,14 @@ class ParamIndex:
     def p(self) -> int:
         return len(self.entries)
 
+    def name(self, e: ParamEntry) -> str:
+        """The name of coordinate e, in the model's ids."""
+        if self.node_ids is None:
+            return e.name
+        return ParamEntry(tuple(self.node_ids[v] for v in e.nodes), e.levels).name
+
     def names(self) -> list[str]:
-        return [e.name for e in self.entries]
+        return [self.name(e) for e in self.entries]
 
 
 def build_param_index(m: LatentModel) -> ParamIndex:
@@ -128,6 +141,37 @@ def param_count(m: LatentModel) -> int:
     multi = _mask_of(v for v, l in enumerate(less) if l > 1)
     found = _complete_masks(m.graph)
     return 1 + sum(math.prod([less[v] for v in _bits(c & multi)]) for c in found)
+
+
+def _core(m: LatentModel) -> tuple[LatentModel, tuple[int, ...]]:
+    """The core of m: the model induced on {0} | S, S the hidden node's
+    neighbours, with the same levels; and the model id of each core node.  The
+    ids ascend, so node v of G_S (its local id in `identify`) is core node v + 1.
+
+    The Jacobian has the same rank deficit p - rank on the core as on m, at
+    every point whose coordinates holding the hidden node agree.
+
+    Proof.  The Jacobian of mu_Y is diag(mu_Y) times that of log mu_Y, so the
+    two have one rank.  A complete set holding the hidden node lies in {0} | S,
+    so log mu_Y(x) = f(x) + G(x_S): f sums the coordinates over complete sets
+    of observed nodes, and G = log sum_h exp(...) sums out h from the terms of
+    the hidden coordinates, all functions of x_S.  The Jacobian's column space is
+    F + span dG: F is spanned by the indicators 1[x_I = a] of the observed-only
+    coordinates, which are linearly independent (a tensor basis under
+    corner-point coding), and dG by the derivatives of G in the hidden
+    coordinates.  So p - rank = p_hid - dim span dG + dim(F & span dG), with
+    p_hid the number of hidden coordinates.  A function of F that depends on
+    x_S only equals itself at x_v = 0 for v not in S, where every indicator with
+    a node outside S vanishes (its levels are nonzero); so it lies in F_S, the
+    span of the complete subsets of S.  Hence F & span dG = F_S & span dG.
+    p_hid, dG and F_S are the same for the core, whose observed-only span is
+    F_S itself, so the deficits agree.  A singular system holds hidden
+    coordinates only, so a point of m lies on it exactly when the point's
+    restriction to the core does, and the least deficit on the system is also
+    the same for both.
+    """
+    g, ids = induced_subgraph(m.graph, [LATENT, *_bits(m.graph.adj[LATENT])])
+    return LatentModel(g, tuple(m.levels[v] for v in ids)), ids
 
 
 def design_cells(m: LatentModel, p: int) -> np.ndarray:

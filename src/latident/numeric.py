@@ -78,7 +78,7 @@ def _eliminate(sys, idx: ParamIndex) -> list[list[tuple[int, int]]]:
     try:  # each equation's terms are read once, all looked up before any elimination
         rows = [dict.fromkeys(sorted(idx.lookup[t] for t in eq.terms), 1) for eq in sys.equations]
     except KeyError as exc:
-        name = exc.args[0].name
+        name = idx.name(exc.args[0])
         raise InconsistentSystemError(f"coordinate {name} is not in the parameter index") from None
     pivots: dict[int, dict[int, int]] = {}  # lowest column -> its row, columns ascending
     for row in rows:
@@ -88,7 +88,7 @@ def _eliminate(sys, idx: ParamIndex) -> list[list[tuple[int, int]]]:
             combined = ((c, a * row.get(c, 0) - b * piv.get(c, 0)) for c in sorted(row | piv))
             row = {c: x for c, x in combined if x}
         if len(row) == 1:
-            raise InconsistentSystemError(f"the equations force {idx.entries[d].name} to zero")
+            raise InconsistentSystemError(f"the equations force {idx.name(idx.entries[d])} to zero")
         if row:
             pivots[d] = row
     return [list(pivots[d].items()) for d in sorted(pivots, reverse=True)]

@@ -29,7 +29,7 @@ each generator (`_sort_key`) that orders them as their terms' sort keys do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import chain, combinations, product, repeat
 from operator import and_, or_
@@ -137,6 +137,16 @@ class SingularSystem:
     """Deduplicated equations, ordered by their terms' sort keys."""
 
     equations: tuple[SingularEquation, ...]
+
+
+def _on_core(system: SingularSystem) -> SingularSystem:
+    """The system in the ids of the model's core (`loglinear._core`), where node
+    v of G_S is core node v + 1: the same generators over a new coordinate table."""
+    if not system.equations:
+        return system
+    coords = system.equations[0].coords
+    core = _Coordinates(tuple(range(1, len(coords.node_map) + 1)), coords.width)
+    return SingularSystem(tuple(replace(eq, coords=core) for eq in system.equations))
 
 
 def locus_equations_for_set(m: LatentModel, i0: NodeSet) -> list[SingularEquation]:

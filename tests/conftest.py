@@ -48,6 +48,13 @@ def five_cycle_model() -> LatentModel:
     return LatentModel.binary(Graph.from_edges(6, edges))
 
 
+def k23_with_t1_model() -> LatentModel:
+    """G_S = K_{2,3} with parts {2, 3} and {4, 5, 6}, plus T1 node 1 joined to 2:
+    its singular system forces b{0,3,6} to zero."""
+    edges = [(1, 2), *((0, v) for v in range(2, 7)), *itertools.product((2, 3), (4, 5, 6))]
+    return LatentModel.binary(Graph.from_edges(7, edges))
+
+
 def dense_model(n: int) -> LatentModel:
     """K_n minus {1-2, 1-3, 2-3, 4-5, 6-7} on the observed nodes, hidden node
     adjacent to all: many complete subsets, most without a plain sequence."""

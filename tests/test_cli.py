@@ -20,7 +20,9 @@ from latident import (
 )
 from latident.cli import main
 
-from conftest import FIXTURE_NAMES, dense_model, load_model, model_path, model_text, star_model
+from conftest import (
+    FIXTURE_NAMES, dense_model, k23_with_t1_model, load_model, model_path, model_text, star_model,
+)
 
 
 def run_cli(capsys, *argv):
@@ -112,7 +114,7 @@ def test_classify_exit_codes(capsys):
     assert code == 2
     report = json.loads(out)
     assert report["singular_system"]["equation_count"] == 3
-    assert report["singular_system"]["expected_rank_drop_full"] is None
+    assert list(report["singular_system"]) == ["equation_count", "equations"]
 
     code, out, _ = run_cli(capsys, "classify", model_path("triangle_isolated"))
     assert code == 3
@@ -122,7 +124,7 @@ def test_classify_exit_codes(capsys):
 def test_classify_report_content(capsys):
     code, out, _ = run_cli(capsys, "classify", model_path("path5"))
     report = json.loads(out)
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["p"] == 20
     assert report["verdict"]["m_clique"] == [1, 3, 5]
     assert report["verdict"]["t1_nodes"] == []
@@ -196,8 +198,13 @@ def test_verify_after_edge_addition(tmp_path, capsys):
     assert report["consistency"]["consistent"] is True
 
 
+def _full_rank(report: dict) -> int:
+    """The model's Jacobian rank from a verify report: p less the core's deficit."""
+    return report["p"] - report["core"]["p"] + report["generic_rank"]["rank"]
+
+
 def test_verify_sixteen_observed_nodes(tmp_path, capsys):
-    # 2^16 cells: a dense l x 2l marginalization matrix would take 69 GB here
+    # 2^16 cells for the whole model; verify ranks the core on {0} | S only
     n = 16
     pairs = list(itertools.combinations(range(n + 1), 2))
     edges = random.Random(3).sample(pairs, round(0.3 * len(pairs)))
@@ -206,8 +213,35 @@ def test_verify_sixteen_observed_nodes(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", str(path), "--trials", "3")
     assert code == 0
     report = json.loads(out)
-    assert report["generic_rank"]["rank"] == report["p"] == 77
+    s_nodes = report["verdict"]["s_nodes"]
+    assert report["core"]["nodes"] == [0, *s_nodes] and len(s_nodes) < n
+    assert report["generic_rank"]["p"] == report["core"]["p"] < report["p"]
+    assert report["p"] == _full_rank(report) == 77
     assert report["consistency"]["consistent"] is True
+
+
+def test_verify_thirty_node_path(tmp_path, capsys):
+    # the hidden node joined to nodes 1-4 of a 30-node path: the whole model's
+    # design would have 2^31 rows, its core on {0, 1, 2, 3, 4} has 32
+    n = 30
+    edges = [(0, v) for v in range(1, 5)] + [(v, v + 1) for v in range(1, n)]
+    path = tmp_path / "path30.model"
+    path.write_text(f"nodes {n + 1}\n" + "".join(f"edge {i} {j}\n" for i, j in edges))
+    code, out, err = run_cli(capsys, "verify", str(path), "--trials", "3")
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert report["core"] == {"nodes": [0, 1, 2, 3, 4], "p": 16}
+    assert report["generic_rank"]["rank"] == 16
+    assert report["p"] == _full_rank(report) == 68
+    assert report["consistency"]["consistent"] is True
+
+
+def test_verify_names_a_forced_zero_in_model_ids(tmp_path, capsys):
+    # the core renumbers nodes 2..6 as 1..5; the error still names model ids
+    path = tmp_path / "k23_t1.model"
+    path.write_text(model_text(k23_with_t1_model()))
+    code, out, err = run_cli(capsys, "verify", str(path), "--trials", "3")
+    assert (code, out, err) == (1, "", "error: the equations force b{0,3,6} to zero\n")
 
 
 def test_python_dash_m_entry_point():
@@ -357,14 +391,16 @@ def test_locus_prints_equations_only(capsys):
 
 
 def test_classify_report_matches_pinned_digest(tmp_path, monkeypatch, capsys):
-    # the whole classify report of the 4,441-equation dense system, as
-    # print(json.dumps(report, indent=2)) wrote it before reports were streamed
+    # the whole classify report of the 4,441-equation dense system; it differs
+    # from the schema 1 report, which print(json.dumps(report, indent=2)) wrote
+    # before reports were streamed, only in schema_version and in the dropped
+    # expected_rank_drop_full key
     monkeypatch.chdir(tmp_path)
     pathlib.Path("dense12.model").write_text(model_text(dense_model(12)))
     code, out, err = run_cli(capsys, "classify", "dense12.model")
     assert (code, err) == (2, "")
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "647ef801aae329419c0d9856fde5fe28f47038b36b07e9c728cbc876a0a83d1c"
+    assert digest == "03f820454a10d15a024fa056813273c66b1a6feb7be0018e14be60fe4fd17533"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ from latident import (
     DimensionMismatchError,
     ExponentOverflowError,
     Graph,
+    InconsistentSystemError,
     LatentModel,
     ParamIndex,
     SingularSystem,
@@ -26,7 +29,14 @@ from latident import (
     sample_beta,
 )
 
-from conftest import FIXTURE_NAMES, five_cycle_model, load_model, star_model
+from latident import numeric
+from latident.loglinear import ParamEntry, _core
+from latident.singular import _on_core, sample_on_subspace
+
+from conftest import (
+    FIXTURE_NAMES, five_cycle_model, hidden_over_all_graphs, k23_with_t1_model, load_model,
+    star_model,
+)
 
 SINGLE_EDGE = LatentModel.binary(Graph.from_edges(2, [(0, 1)]))
 
@@ -293,3 +303,76 @@ def test_design_cache_keeps_only_the_latest_model():
     finally:
         tracemalloc.stop()
     assert current < 2 * largest_z
+
+
+def _deficit_models():
+    """The fixtures and the K_{2,3} model with a T1 node; 20 exhaustive graphs
+    on 5 observed nodes with a singular system, each given 1..3 T1 nodes and,
+    every other one, a 3-level node; 40 drawn models on 3..7 observed nodes
+    with T1 nodes and 3-level nodes; and 40 binary random graphs on 2..11
+    observed nodes, the hidden node joined to a random nonempty subset."""
+    yield from map(load_model, FIXTURE_NAMES)
+    yield k23_with_t1_model()
+    rng = random.Random(11)
+    with_system = [g for g in hidden_over_all_graphs() if g.node_count == 6]
+    with_system = [g for g in with_system if classify(LatentModel.binary(g)).singular_system]
+    for i, g in enumerate(rng.sample(with_system, 20)):
+        n = 5 + rng.randint(1, 3)
+        t1_edges = [(u, v) for v in range(6, n + 1) for u in rng.sample(range(1, v), 2)]
+        levels = [2] * (n + 1)
+        levels[rng.randint(1, n)] += i % 2
+        yield LatentModel(Graph.from_edges(n + 1, [*g.edges, *t1_edges]), tuple(levels))
+    for _ in range(40):
+        n = rng.randint(3, 7)
+        s_nodes = rng.sample(range(1, n + 1), rng.randint(1, n - 1))
+        observed = [pr for pr in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.5]
+        levels = (2, *(rng.choice((2, 2, 3)) for _ in range(n)))
+        yield LatentModel(Graph.from_edges(n + 1, [(0, v) for v in s_nodes] + observed), levels)
+    for _ in range(40):
+        n = rng.randint(2, 11)
+        s_nodes = rng.sample(range(1, n + 1), rng.randint(1, n))
+        density = rng.uniform(0.2, 0.7)
+        observed = [pr for pr in itertools.combinations(range(1, n + 1), 2) if rng.random() < density]
+        yield LatentModel.binary(Graph.from_edges(n + 1, [(0, v) for v in s_nodes] + observed))
+
+
+def test_core_has_the_model_rank_deficit():
+    # p - rank(J) is the same on the model and on its {0} | S core, at sampled
+    # points and at points on the singular system, the core's point being the
+    # model's restricted to the complete subsets of {0} | S
+    counts = {"t1": 0, "multi_level": 0, "on_system": 0, "forced_zero": 0}
+    for m in _deficit_models():
+        core, ids = _core(m)
+        full_idx = build_param_index(m)
+        core_idx = ParamIndex(build_param_index(core).entries, ids)
+        assert core_idx.names() == [e.name for e in full_idx.entries if set(e.nodes) <= set(ids)]
+        cols = [
+            full_idx.lookup[ParamEntry(tuple(ids[v] for v in e.nodes), e.levels)]
+            for e in core_idx.entries
+        ]
+
+        points = [sample_beta(full_idx.p, [7, t]) for t in range(2)]
+        system = classify(m).singular_system
+        if system is not None:
+            core_system = _on_core(system)
+            try:
+                points += [sample_on_subspace(system, full_idx, [7, t]) for t in range(2)]
+            except InconsistentSystemError as exc:
+                # the core's elimination names the same coordinate, in model ids
+                with pytest.raises(InconsistentSystemError, match=f"^{re.escape(str(exc))}$"):
+                    numeric._eliminate(core_system, core_idx)
+                counts["forced_zero"] += 1
+            else:
+                counts["on_system"] += 1
+                for beta in points[2:]:
+                    for eq in core_system.equations:
+                        assert abs(sum(beta[cols][core_idx.lookup[t]] for t in eq.terms)) < 1e-12
+        for beta in points:
+            full = numeric_rank(jacobian(m, full_idx, beta))
+            reduced = numeric_rank(jacobian(core, core_idx, beta[cols]))
+            assert not (full.ambiguous or reduced.ambiguous)
+            assert full_idx.p - full.rank == core_idx.p - reduced.rank, m
+        counts["t1"] += len(ids) < m.graph.node_count
+        counts["multi_level"] += max(m.levels) > 2
+    assert counts["t1"] >= 50 and counts["multi_level"] >= 20 and counts["on_system"] >= 20, counts
+    assert counts["forced_zero"] >= 1, counts
