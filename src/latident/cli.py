@@ -237,28 +237,26 @@ def cmd_classify(path: str) -> int:
     return _STATUS_EXIT[verdict.status]
 
 
-def _check_seed_tol(seed: int, tol: float | None) -> None:
+def _check_seed(seed: int) -> None:
     if seed < 0:
         raise ValidationError("--seed must be >= 0")
-    if tol is not None and not 0 < tol < np.inf:
-        raise ValidationError("--tol must be finite and > 0")
 
 
-def cmd_verify(path: str, trials: int, seed: int, tol: float | None) -> int:
+def cmd_verify(path: str, trials: int, seed: int) -> int:
     if trials < 1:
         raise ValidationError("--trials must be >= 1")
-    _check_seed_tol(seed, tol)
+    _check_seed(seed)
     m = parse_model(path)
     verdict = classify(m)
     # The ranks are taken on the core, which has the model's rank deficit (see _core).
     core, ids = _core(m)
     design_cells(core, param_count(core))  # refuses an oversized design before the index is built
     idx = ParamIndex(build_param_index(core).entries, ids)
-    generic = generic_rank(core, trials=trials, seed=seed, idx=idx, tol=tol)
+    generic = generic_rank(core, trials=trials, seed=seed, idx=idx)
     on_system = None
     if verdict.singular_system is not None:
         on_system = rank_on_system(
-            core, _on_core(verdict.singular_system), trials=trials, seed=seed, idx=idx, tol=tol
+            core, _on_core(verdict.singular_system), trials=trials, seed=seed, idx=idx
         )
 
     full = generic.rank == idx.p  # generic.rank is the top trial rank
@@ -312,8 +310,8 @@ def _load_beta(path: str, idx: ParamIndex) -> np.ndarray:
     return beta
 
 
-def cmd_rank(path: str, beta_path: str | None, seed: int, tol: float | None) -> int:
-    _check_seed_tol(seed, tol)
+def cmd_rank(path: str, beta_path: str | None, seed: int) -> int:
+    _check_seed(seed)
     m = parse_model(path)
     design_cells(m, param_count(m))  # refuses an oversized design before the index is built
     idx = build_param_index(m)
@@ -323,7 +321,7 @@ def cmd_rank(path: str, beta_path: str | None, seed: int, tol: float | None) -> 
     else:
         beta = sample_beta(idx.p, [seed, 0])
         beta_source = {"kind": "sampled", "seed": seed}
-    report_obj = numeric_rank(jacobian(m, idx, beta), tol=tol)
+    report_obj = numeric_rank(jacobian(m, idx, beta))
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "rank",
@@ -369,14 +367,12 @@ def _build_parser():
     p_verify.add_argument("file")
     p_verify.add_argument("--trials", type=int, default=50)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=float, default=None)
 
     p_rank = sub.add_parser("rank", help="rank of the Jacobian at one point")
     p_rank.add_argument("file")
     group = p_rank.add_mutually_exclusive_group()
     group.add_argument("--beta", dest="beta_path", default=None)
     group.add_argument("--seed", type=int, default=0)
-    p_rank.add_argument("--tol", type=float, default=None)
 
     p_locus = sub.add_parser("locus", help="print the singular equations only")
     p_locus.add_argument("file")
@@ -393,9 +389,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "classify":
             return cmd_classify(args.file)
         if args.command == "verify":
-            return cmd_verify(args.file, args.trials, args.seed, args.tol)
+            return cmd_verify(args.file, args.trials, args.seed)
         if args.command == "rank":
-            return cmd_rank(args.file, args.beta_path, args.seed, args.tol)
+            return cmd_rank(args.file, args.beta_path, args.seed)
         if args.command == "locus":
             return cmd_locus(args.file)
         raise AssertionError(f"unhandled command {args.command}")

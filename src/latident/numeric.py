@@ -7,9 +7,11 @@ sum of the two hidden-level halves (rows 0..l-1 and l..2l-1 of the cell
 stacking) and never formed: every entry of the dense product is that same
 two-term sum plus exact zeros, so the result is bitwise the same.
 
-Rank is measured by full SVD with a relative tolerance and a gap rule: when the
-singular values do not drop by at least 1e3 across the chosen cut, the report
-is flagged ambiguous instead of silently committing.
+Rank is measured by full SVD with one relative cut, max(rows, cols) * eps *
+sigma_max, fixed in `numeric_rank` and reported as `tolerance_used`, and a gap
+rule: when the singular values do not drop by at least 1e3 across the cut, the
+report is flagged ambiguous instead of silently committing.  No caller can move
+the cut; another cut can be read off the singular values a report lists.
 
 Every point is drawn here, free or on a singular system.  Every stochastic
 operation takes an explicit seed; trial t of a batch draws from the stream
@@ -152,20 +154,19 @@ def jacobian(m: LatentModel, idx: ParamIndex, beta: NDArray) -> NDArray[np.float
     return d[:l] + d[l:]
 
 
-def numeric_rank(mat: NDArray, tol: float | None = None) -> RankReport:
-    """Rank by full SVD: the count of singular values above the tolerance.
+def numeric_rank(mat: NDArray) -> RankReport:
+    """Rank by full SVD: the count of singular values above the tolerance
+    max(rows, cols) * machine epsilon * largest singular value.
 
-    Default tolerance is max(rows, cols) * machine epsilon * largest singular
-    value.  The cut must show a relative gap of at least 1e3, otherwise the
-    report is flagged ambiguous.  An explicit tolerance must be finite and > 0.
+    The cut must show a relative gap of at least 1e3, otherwise the report is
+    flagged ambiguous.
     """
-    _check_tol(tol)
     mat = np.asarray(mat, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ValidationError("matrix has non-finite entries")
     sv = np.linalg.svd(mat, compute_uv=False)
     smax = float(sv[0]) if sv.size else 0.0
-    tol_used = float(tol) if tol is not None else max(mat.shape) * np.finfo(float).eps * smax
+    tol_used = max(mat.shape) * np.finfo(float).eps * smax
     rank = int(np.sum(sv > tol_used))
     gap = None
     ambiguous = False
@@ -183,13 +184,8 @@ def numeric_rank(mat: NDArray, tol: float | None = None) -> RankReport:
     )
 
 
-def _check_tol(tol: float | None) -> None:
-    if tol is not None and not 0 < tol < np.inf:
-        raise ValueError("tol must be finite and > 0")
-
-
 def _trial_loop(
-    m: LatentModel, idx: ParamIndex | None, trials: int, seed: int, tol: float | None, draw_for
+    m: LatentModel, idx: ParamIndex | None, trials: int, seed: int, draw_for
 ) -> RankReport:
     """Rank the Jacobian at `draw((seed, t))` for t < trials and aggregate, where
     draw = draw_for(idx) is made once, after the arguments are checked."""
@@ -197,11 +193,10 @@ def _trial_loop(
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    _check_tol(tol)
     if idx is None:
         idx = build_param_index(m)
     draw = draw_for(idx)
-    reports = [numeric_rank(jacobian(m, idx, draw((seed, t))), tol=tol) for t in range(trials)]
+    reports = [numeric_rank(jacobian(m, idx, draw((seed, t)))) for t in range(trials)]
     ranks = tuple(r.rank for r in reports)
     best = max(reports, key=lambda r: r.rank)  # the first trial reaching the top rank
     counts = Counter(ranks)
@@ -210,11 +205,7 @@ def _trial_loop(
 
 
 def generic_rank(
-    m: LatentModel,
-    trials: int = 50,
-    seed: int = 0,
-    idx: ParamIndex | None = None,
-    tol: float | None = None,
+    m: LatentModel, trials: int = 50, seed: int = 0, idx: ParamIndex | None = None
 ) -> RankReport:
     """Maximum Jacobian rank over random parameter draws.
 
@@ -222,16 +213,11 @@ def generic_rank(
     maximum over trials estimates the generic rank; the modal rank and any
     disagreement across trials are reported alongside.
     """
-    return _trial_loop(m, idx, trials, seed, tol, lambda idx: partial(sample_beta, idx.p))
+    return _trial_loop(m, idx, trials, seed, lambda idx: partial(sample_beta, idx.p))
 
 
 def rank_on_system(
-    m: LatentModel,
-    sys,
-    trials: int = 50,
-    seed: int = 0,
-    idx: ParamIndex | None = None,
-    tol: float | None = None,
+    m: LatentModel, sys, trials: int = 50, seed: int = 0, idx: ParamIndex | None = None
 ) -> RankReport:
     """Maximum Jacobian rank over draws constrained to a singular system.
 
@@ -240,5 +226,5 @@ def rank_on_system(
     All draws are expected to agree; `unanimous` records whether they did.
     """
     return _trial_loop(
-        m, idx, trials, seed, tol, lambda idx: partial(_sample, _eliminate(sys, idx), idx.p)
+        m, idx, trials, seed, lambda idx: partial(_sample, _eliminate(sys, idx), idx.p)
     )

@@ -30,10 +30,10 @@ each generator (`_sort_key`) that orders them as their terms' sort keys do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, combinations, product, repeat
 from operator import and_, or_
-from typing import Iterator, Mapping
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -44,47 +44,30 @@ from .loglinear import LATENT, LatentModel, ParamEntry, ParamIndex
 from .numeric import _eliminate, _sample
 
 
-class _Built(dict):
-    """A dict that builds a missing value from its key, once."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
+@dataclass(frozen=True)
 class _Coordinates:
-    """A system's coordinate table: `entries` and `names` map a slot mask of G_S
+    """A system's coordinate table: `entry` and `name` map a slot mask of G_S
     to its ParamEntry and its name, and `subsets` an anchored mask to its
-    subsets, each built on first lookup and kept as long as the system.
+    subsets, each built on first lookup and kept as long as the table.
 
     Slot s stands for node node_map[s // width] at level s % width + 1.  Two
     tables are equal when they read every slot mask alike.
     """
 
-    def __init__(self, node_map: tuple[int, ...], width: int):
-        self.node_map = node_map
-        self.width = width
-        self.entries = _Built(self._entry)
-        self.names = _Built(lambda slots: self.entries[slots].name)
-        self.subsets = _Built(_subsets)
+    node_map: tuple[int, ...]
+    width: int
+
+    def __post_init__(self):
+        entry = cache(self._entry)
+        object.__setattr__(self, "entry", entry)
+        object.__setattr__(self, "name", cache(lambda slots: entry(slots).name))
+        object.__setattr__(self, "subsets", cache(_subsets))
 
     def _entry(self, slots: int) -> ParamEntry:
         w, bits = self.width, _bits(slots)
         return ParamEntry(
             (LATENT, *(self.node_map[s // w] for s in bits)), (1, *(s % w + 1 for s in bits))
         )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Coordinates) and (self.node_map, self.width) == (
-            other.node_map, other.width
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.node_map, self.width))
 
 
 def _subsets(mask: int) -> tuple[int, ...]:
@@ -112,21 +95,21 @@ class SingularEquation:
     coords: _Coordinates = field(repr=False)
 
     def _slots(self) -> Iterator[int]:
-        return map(or_, repeat(self.v0), self.coords.subsets[self.anchored])
+        return map(or_, repeat(self.v0), self.coords.subsets(self.anchored))
 
     @property
     def terms(self) -> tuple[ParamEntry, ...]:
-        return tuple(map(self.coords.entries.__getitem__, self._slots()))
+        return tuple(map(self.coords.entry, self._slots()))
 
     @property
     def names(self) -> list[str]:
         """The terms' names, in column order."""
-        return list(map(self.coords.names.__getitem__, self._slots()))
+        return list(map(self.coords.name, self._slots()))
 
     @property
     def boundary_subset(self) -> tuple[int, ...]:
         """V0, in model ids ascending."""
-        return self.coords.entries[self.v0].nodes[1:]
+        return self.coords.entry(self.v0).nodes[1:]
 
     def render(self) -> str:
         return " + ".join(self.names) + " = 0"
@@ -180,7 +163,7 @@ def _slot_mask(mask: int, width: int, level_of: dict[int, int]) -> int:
 
 
 def _sort_key(
-    v0: int, anchored: int, width: int, top: int, bits: Mapping[int, list[int]]
+    v0: int, anchored: int, width: int, top: int, bits: Callable[[int], list[int]]
 ) -> tuple[int, ...]:
     """Sort key of the equation with slot masks v0 and anchored: the equations
     of a system sort on it as on their sequences of term keys (size, nodes,
@@ -189,8 +172,8 @@ def _sort_key(
     The key is |V0|, V0's nodes, V0's levels (left out when width is 1, as
     every level is then 1), anchored's slots ascending, each a (node, level)
     pair ordered node first, and last a terminator: -1 when |anchored| <= 1 and
-    `top`, above every slot, when |anchored| >= 2.  `bits` maps a mask to its
-    set bits ascending.
+    `top`, above every slot, when |anchored| >= 2.  `bits` gives a mask's set
+    bits ascending.
 
     Proof.  Every term holds V0 and the first is {0} | V0, so the first terms
     compare on |V0|, V0's nodes, then V0's levels.  Past equal first terms the
@@ -208,10 +191,10 @@ def _sort_key(
     comes first (terminator below every slot).  Equal slot lists make equal
     generators, which deduplication leaves out.
     """
-    slots = bits[v0]
+    slots = bits(v0)
     if width > 1:
         slots = [s // width for s in slots] + [s % width for s in slots]
-    return (v0.bit_count(), *slots, *bits[anchored], -1 if anchored.bit_count() < 2 else top)
+    return (v0.bit_count(), *slots, *bits(anchored), -1 if anchored.bit_count() < 2 else top)
 
 
 def _singular_system(
@@ -229,13 +212,13 @@ def _singular_system(
     The generators are sorted on `_sort_key` and share one coordinate table.
     """
     adj, nbhd = g_s.adj, _neighborhoods(g_s)
-    bits = _Built(_bits)  # each distinct mask's bits, read once
-    common = _Built(lambda v0: reduce(and_, map(adj.__getitem__, bits[v0])))
+    bits = cache(_bits)  # each distinct mask's bits, read once
+    common = cache(lambda v0: reduce(and_, map(adj.__getitem__, bits(v0))))
     first: dict[tuple[int, int], NodeSet] = {}
     for c_mask, source_set in failing.items():
         bd_mask = nbhd[c_mask] & ~c_mask
         for v0 in _complete_within(adj, bd_mask):
-            first.setdefault((v0, c_mask & common[v0]), source_set)
+            first.setdefault((v0, c_mask & common(v0)), source_set)
     levels = [m.levels[v] for v in node_map]
     width = max(levels) - 1
     if width == 1:

@@ -25,6 +25,7 @@ from latident import (
     complete_subsets,
 )
 from latident.graph import _bits, _mask_of, _set_of
+from latident.loglinear import _core, param_count
 from latident.identify import (
     _complete_masks,
     _failing_masks,
@@ -308,6 +309,53 @@ def test_classify_covers_every_shape_hidden_adjacent_to_all():
         assert verdict.probe_only == (connected and not comp_triangle), sorted(observed)
         seen += 1
     assert seen == 1099
+
+
+def all_graphs_up_to_four_observed():
+    """Every labelled graph on the hidden node 0 and observed nodes 1..k, k = 1..4,
+    in which the hidden node has a neighbour: T1 nodes included."""
+    for k in range(1, 5):
+        pairs = list(combinations(range(k + 1), 2))
+        for bits in range(1 << len(pairs)):
+            edges = [pr for b, pr in enumerate(pairs) if bits >> b & 1]
+            if any(a == 0 for a, _ in edges):
+                yield Graph.from_edges(k + 1, edges)
+
+
+def verdict_facts(verdict, label=lambda v: v):
+    """Status, probe_only, S, T1 and the failing sets, each node mapped by label."""
+    def relabel(nodes):
+        return frozenset(map(label, nodes))
+
+    return (
+        verdict.status, verdict.probe_only, relabel(verdict.s_nodes), relabel(verdict.t1_nodes),
+        frozenset(map(relabel, verdict.failing_sets)),
+    )
+
+
+def test_classify_is_invariant_under_relabelling_and_t1_nodes():
+    # metamorphic: relabelling the observed nodes maps every verdict fact through
+    # the permutation, and a T1 node (joined to an observed node, not to the
+    # hidden one) changes neither the verdict nor the p of the core
+    rng = random.Random(0)
+    seen = 0
+    for g in all_graphs_up_to_four_observed():
+        k = g.node_count - 1
+        verdict = classify(LatentModel.binary(g))
+        label = [0, *rng.sample(range(1, k + 1), k)]
+        relabelled = Graph.from_edges(k + 1, [(label[a], label[b]) for a, b in g.edges])
+        assert verdict_facts(classify(LatentModel.binary(relabelled))) == verdict_facts(
+            verdict, label.__getitem__
+        ), (g.edges, label)
+        t1_edge = (rng.randint(1, k), k + 1)
+        with_t1 = LatentModel.binary(Graph.from_edges(k + 2, [*g.edges, t1_edge]))
+        t1_verdict = classify(with_t1)
+        assert (t1_verdict.status, t1_verdict.failing_sets) == (
+            verdict.status, verdict.failing_sets
+        ), g.edges
+        assert param_count(_core(with_t1)[0]) == param_count(_core(LatentModel.binary(g))[0])
+        seen += 1
+    assert seen == 1023
 
 
 def test_latent_class_stars_need_three_observers():

@@ -109,20 +109,24 @@ def test_numeric_rank_identity_and_outer_product():
 
 
 def test_numeric_rank_gap_rule_flags_ambiguity():
-    mat = np.diag([1.0, 1e-2, 1e-15])
-    report = numeric_rank(mat, tol=1e-6)
-    assert report.rank == 2
-    assert not report.ambiguous  # 1e-2 vs 1e-15 is a clean cut
-    soft = np.diag([1.0, 1.1e-5, 1.0e-5])
-    soft_report = numeric_rank(soft, tol=1.05e-5)
-    assert soft_report.rank == 2
-    assert soft_report.ambiguous  # cut lands inside a factor-1.1 plateau
+    # the cut is 3 * eps * sigma_max = 3 * eps, between the second and third values
+    report = numeric_rank(np.diag([1.0, 1e-2, 1e-17]))
+    assert (report.rank, report.tolerance_used) == (2, 3 * np.finfo(float).eps)
+    assert report.gap == pytest.approx(1e15)
+    assert not report.ambiguous  # 1e-2 vs 1e-17 is a clean cut
+    soft_report = numeric_rank(np.diag([1.0, 1e-15, 1e-16]))
+    assert (soft_report.rank, soft_report.tolerance_used) == (2, 3 * np.finfo(float).eps)
+    assert soft_report.gap == pytest.approx(10.0)
+    assert soft_report.ambiguous  # the values fall by a factor 10 only across the cut
 
 
 def test_numeric_rank_tolerance_override():
+    # one cut, max(rows, cols) * eps * sigma_max: a cut of 1e-3 cannot be asked for
     mat = np.diag([1.0, 1e-4])
-    assert numeric_rank(mat).rank == 2
-    assert numeric_rank(mat, tol=1e-3).rank == 1
+    report = numeric_rank(mat)
+    assert (report.rank, report.tolerance_used) == (2, 2 * np.finfo(float).eps)
+    with pytest.raises(TypeError, match="tol"):
+        numeric_rank(mat, tol=1e-3)
 
 
 def test_generic_rank_triangle_pendants(triangle_pendants):
@@ -138,24 +142,25 @@ def test_generic_rank_trials_validation(triangle_pendants):
         generic_rank(triangle_pendants, trials=0)
 
 
+# No rank function takes a tolerance, whatever its value: the cut is numeric_rank's own.
 BAD_TOLS = [float("nan"), float("inf"), 0.0, -1.0]
 
 
 @pytest.mark.parametrize("tol", BAD_TOLS)
 def test_numeric_rank_rejects_bad_tolerance(tol):
-    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+    with pytest.raises(TypeError, match="tol"):
         numeric_rank(np.eye(2), tol=tol)
 
 
 @pytest.mark.parametrize("tol", BAD_TOLS)
 def test_generic_rank_rejects_bad_tolerance(path5, tol):
-    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+    with pytest.raises(TypeError, match="tol"):
         generic_rank(path5, trials=2, seed=0, tol=tol)
 
 
 @pytest.mark.parametrize("tol", BAD_TOLS)
 def test_rank_on_system_rejects_bad_tolerance(path5, tol):
-    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+    with pytest.raises(TypeError, match="tol"):
         rank_on_system(path5, SingularSystem(()), trials=2, seed=0, tol=tol)
 
 
