@@ -37,7 +37,7 @@ from .loglinear import (
     LatentModel, ParamIndex, _core, build_param_index, design_cells, param_count,
 )
 from .numeric import RankReport, generic_rank, jacobian, numeric_rank, rank_on_system, sample_beta
-from .singular import SingularSystem, _on_core, full_system
+from .singular import SingularSystem, full_system
 
 SCHEMA_VERSION = 2
 
@@ -255,9 +255,7 @@ def cmd_verify(path: str, trials: int, seed: int) -> int:
     generic = generic_rank(core, trials=trials, seed=seed, idx=idx)
     on_system = None
     if verdict.singular_system is not None:
-        on_system = rank_on_system(
-            core, _on_core(verdict.singular_system), trials=trials, seed=seed, idx=idx
-        )
+        on_system = rank_on_system(core, verdict.singular_system, trials=trials, seed=seed, idx=idx)
 
     full = generic.rank == idx.p  # generic.rank is the top trial rank
     if verdict.status is Status.IDENTIFIED_EVERYWHERE:
@@ -361,21 +359,21 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="structural verdict only")
-    p_classify.add_argument("file")
+    p_classify.add_argument("path", metavar="file")
 
     p_verify = sub.add_parser("verify", help="verdict plus numerical cross-check")
-    p_verify.add_argument("file")
+    p_verify.add_argument("path", metavar="file")
     p_verify.add_argument("--trials", type=int, default=50)
     p_verify.add_argument("--seed", type=int, default=0)
 
     p_rank = sub.add_parser("rank", help="rank of the Jacobian at one point")
-    p_rank.add_argument("file")
+    p_rank.add_argument("path", metavar="file")
     group = p_rank.add_mutually_exclusive_group()
     group.add_argument("--beta", dest="beta_path", default=None)
     group.add_argument("--seed", type=int, default=0)
 
     p_locus = sub.add_parser("locus", help="print the singular equations only")
-    p_locus.add_argument("file")
+    p_locus.add_argument("path", metavar="file")
 
     return parser
 
@@ -385,16 +383,10 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse's usage exit is 2, which means "generically identified"
         return EXIT_ERROR if exc.code else EXIT_OK
+    # cmd_<command> is looked up at call time, so a wrapper bound to that name is called
+    kwargs = {k: v for k, v in vars(args).items() if k != "command"}
     try:
-        if args.command == "classify":
-            return cmd_classify(args.file)
-        if args.command == "verify":
-            return cmd_verify(args.file, args.trials, args.seed)
-        if args.command == "rank":
-            return cmd_rank(args.file, args.beta_path, args.seed)
-        if args.command == "locus":
-            return cmd_locus(args.file)
-        raise AssertionError(f"unhandled command {args.command}")
+        return globals()[f"cmd_{args.command}"](**kwargs)
     except (LatidentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -122,17 +122,14 @@ class SequenceCert:
 class Verdict:
     """Classification outcome plus the structural evidence behind it.
 
-    Node sets are reported in the model's own ids; `s_graph` is the observed
-    subgraph induced on S with local ids 0..|S|-1 and `s_node_map[local] = id`.
-    Sequence certificates are stated in model ids and can be re-checked against
-    `s_graph` via `cert.validate(s_graph, s_node_map)`.
+    Node sets and sequence certificates are stated in the model's own ids; a
+    certificate is re-checked on G_S by
+    `cert.validate(*induced_subgraph(m.graph, sorted(s_nodes)))`.
     """
 
     status: Status
     s_nodes: NodeSet
     t1_nodes: NodeSet
-    s_graph: Graph
-    s_node_map: tuple[int, ...]
     m_clique: NodeSet | None
     clique_certs: tuple[tuple[NodeSet, "SequenceCert | None"], ...]
     failing_sets: tuple[NodeSet, ...]
@@ -311,8 +308,6 @@ def classify(m: LatentModel) -> Verdict:
         status=status,
         s_nodes=s_nodes,
         t1_nodes=t1_nodes,
-        s_graph=g_s,
-        s_node_map=node_map,
         m_clique=m_clique,
         clique_certs=tuple(clique_certs),
         failing_sets=tuple(failing_sets),

@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, NodeSet, _bits, _complete_masks, _mask_of, induced_subgraph
+from .graph import Graph, NodeSet, _bits, _complete_masks, induced_subgraph
 
 LATENT = 0
 
@@ -93,8 +93,9 @@ class ParamEntry:
 class ParamIndex:
     """Ordered parameter coordinates with a coordinate -> column lookup.
 
-    The index of a model's core (`_core`) holds the core's ids in its entries,
-    and in `node_ids` the model id of each core node, in which it names them.
+    The index of a model's core (`_core`) holds the core's ids in its entries
+    and the model id of each core node in `node_ids`; `lookup` and `names` read
+    coordinates in the model's ids, so a singular system is looked up as it is.
     """
 
     entries: tuple[ParamEntry, ...]
@@ -102,20 +103,17 @@ class ParamIndex:
 
     @cached_property
     def lookup(self) -> dict[ParamEntry, int]:
-        return {e: j for j, e in enumerate(self.entries)}
+        ids, entries = self.node_ids, self.entries
+        if ids is not None:
+            entries = (ParamEntry(tuple(ids[v] for v in e.nodes), e.levels) for e in entries)
+        return {e: j for j, e in enumerate(entries)}
 
     @property
     def p(self) -> int:
         return len(self.entries)
 
-    def name(self, e: ParamEntry) -> str:
-        """The name of coordinate e, in the model's ids."""
-        if self.node_ids is None:
-            return e.name
-        return ParamEntry(tuple(self.node_ids[v] for v in e.nodes), e.levels).name
-
     def names(self) -> list[str]:
-        return [self.name(e) for e in self.entries]
+        return [e.name for e in self.lookup]
 
 
 def build_param_index(m: LatentModel) -> ParamIndex:
@@ -134,19 +132,32 @@ def build_param_index(m: LatentModel) -> ParamIndex:
 
 
 def param_count(m: LatentModel) -> int:
-    """The column count p of `build_param_index(m)`, without building the entries:
-    1 for the general mean plus, over the complete subsets I in the index's own
-    `_complete_masks` table, the product of levels[v] - 1 over the v in I."""
-    less = [l - 1 for l in m.levels]
-    multi = _mask_of(v for v, l in enumerate(less) if l > 1)
-    found = _complete_masks(m.graph)
-    return 1 + sum(math.prod([less[v] for v in _bits(c & multi)]) for c in found)
+    """The column count p of `build_param_index(m)`, without listing the complete
+    subsets I: they grow as in `graph._complete_within`, but the sets sharing a
+    candidate mask are one weight, the sum of their products of levels[v] - 1
+    over v in I.  A grown set has fewer candidates than its parent, so the masks
+    are taken from the most bits to the fewest, each once all its weight is in."""
+    adj, less = m.graph.adj, [l - 1 for l in m.levels]
+    # by_size[k]: candidate mask of k bits -> weight; the empty set has every node
+    by_size: list[dict[int, int]] = [{} for _ in adj] + [{(1 << len(adj)) - 1: 1}]
+    p = 1
+    for pending in reversed(by_size):
+        for cand, weight in pending.items():
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                v = low.bit_length() - 1
+                grown, w = cand & adj[v], weight * less[v]
+                p += w
+                bucket = by_size[grown.bit_count()]
+                bucket[grown] = bucket.get(grown, 0) + w
+    return p
 
 
 def _core(m: LatentModel) -> tuple[LatentModel, tuple[int, ...]]:
     """The core of m: the model induced on {0} | S, S the hidden node's
-    neighbours, with the same levels; and the model id of each core node.  The
-    ids ascend, so node v of G_S (its local id in `identify`) is core node v + 1.
+    neighbours, with the same levels; and the model id of each core node, in
+    ascending order.
 
     The Jacobian has the same rank deficit p - rank on the core as on m, at
     every point whose coordinates holding the hidden node agree.

@@ -80,7 +80,7 @@ def _eliminate(sys, idx: ParamIndex) -> list[list[tuple[int, int]]]:
     try:  # each equation's terms are read once, all looked up before any elimination
         rows = [dict.fromkeys(sorted(idx.lookup[t] for t in eq.terms), 1) for eq in sys.equations]
     except KeyError as exc:
-        name = idx.name(exc.args[0])
+        name = exc.args[0].name
         raise InconsistentSystemError(f"coordinate {name} is not in the parameter index") from None
     pivots: dict[int, dict[int, int]] = {}  # lowest column -> its row, columns ascending
     for row in rows:
@@ -90,7 +90,7 @@ def _eliminate(sys, idx: ParamIndex) -> list[list[tuple[int, int]]]:
             combined = ((c, a * row.get(c, 0) - b * piv.get(c, 0)) for c in sorted(row | piv))
             row = {c: x for c, x in combined if x}
         if len(row) == 1:
-            raise InconsistentSystemError(f"the equations force {idx.name(idx.entries[d])} to zero")
+            raise InconsistentSystemError(f"the equations force {idx.names()[d]} to zero")
         if row:
             pivots[d] = row
     return [list(pivots[d].items()) for d in sorted(pivots, reverse=True)]
@@ -221,9 +221,10 @@ def rank_on_system(
 ) -> RankReport:
     """Maximum Jacobian rank over draws constrained to a singular system.
 
-    The system is brought to echelon form once and every trial's point is
-    solved from those rows, the point `sample_on_subspace` draws for that key.
-    All draws are expected to agree; `unanimous` records whether they did.
+    `_eliminate` brings the system, in model ids, to echelon form once on idx,
+    which may be the index of m's core (`ParamIndex`), and `_sample` solves each
+    trial's point from those rows, the point `sample_on_subspace` draws for that
+    key.  All draws are expected to agree; `unanimous` records whether they did.
     """
     return _trial_loop(
         m, idx, trials, seed, lambda idx: partial(_sample, _eliminate(sys, idx), idx.p)

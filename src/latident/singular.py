@@ -5,8 +5,9 @@ one equation per complete subset V0 of its complement boundary and per level
 combination of the multi-level nodes involved.  With anchored the nodes of C
 adjacent in G_S to all of V0, the coordinates of {0} | V0 | I over the subsets
 I of anchored sum to zero.  Equations may share coordinates and may depend on
-each other; `sample_on_subspace` solves any such system by the oracle's exact
-elimination over its integer rows (`numeric`).
+each other; `numeric` solves any such system, in model ids, by one exact
+elimination over its integer rows (`_eliminate`) and draws points on it from the
+echelon rows (`_sample`), for `sample_on_subspace` and `rank_on_system` alike.
 
 A model's system is built from the observed context that `classify` already
 holds (G_S, the subgraph on the hidden node's neighbours, and the failing sets);
@@ -29,7 +30,7 @@ each generator (`_sort_key`) that orders them as their terms' sort keys do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import chain, combinations, product, repeat
 from operator import and_, or_
@@ -120,16 +121,6 @@ class SingularSystem:
     """Deduplicated equations, ordered by their terms' sort keys."""
 
     equations: tuple[SingularEquation, ...]
-
-
-def _on_core(system: SingularSystem) -> SingularSystem:
-    """The system in the ids of the model's core (`loglinear._core`), where node
-    v of G_S is core node v + 1: the same generators over a new coordinate table."""
-    if not system.equations:
-        return system
-    coords = system.equations[0].coords
-    core = _Coordinates(tuple(range(1, len(coords.node_map) + 1)), coords.width)
-    return SingularSystem(tuple(replace(eq, coords=core) for eq in system.equations))
 
 
 def locus_equations_for_set(m: LatentModel, i0: NodeSet) -> list[SingularEquation]:

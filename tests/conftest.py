@@ -55,6 +55,19 @@ def k23_with_t1_model() -> LatentModel:
     return LatentModel.binary(Graph.from_edges(7, edges))
 
 
+def t1_clique_model(k: int) -> LatentModel:
+    """Hidden node joined to node 1, node 1 to node 2, and T1 nodes 2..k+1
+    forming a K_k: a core of p = 4 in a model of p = 2^k + 4."""
+    clique = itertools.combinations(range(2, k + 2), 2)
+    return LatentModel.binary(Graph.from_edges(k + 2, [(0, 1), (1, 2), *clique]))
+
+
+def complete_model(levels: tuple[int, ...]) -> LatentModel:
+    """Every pair of nodes adjacent: every subset is complete, so p = prod(levels)."""
+    pairs = itertools.combinations(range(len(levels)), 2)
+    return LatentModel(Graph.from_edges(len(levels), pairs), levels)
+
+
 def dense_model(n: int) -> LatentModel:
     """K_n minus {1-2, 1-3, 2-3, 4-5, 6-7} on the observed nodes, hidden node
     adjacent to all: many complete subsets, most without a plain sequence."""

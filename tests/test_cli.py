@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from latident import (
+    Graph,
     LatentModel,
     ParseError,
     ValidationError,
@@ -242,6 +243,28 @@ def test_verify_names_a_forced_zero_in_model_ids(tmp_path, capsys):
     path.write_text(model_text(k23_with_t1_model()))
     code, out, err = run_cli(capsys, "verify", str(path), "--trials", "3")
     assert (code, out, err) == (1, "", "error: the equations force b{0,3,6} to zero\n")
+
+
+def test_verify_with_a_t1_node_inside_s_matches_pinned_digest(tmp_path, monkeypatch, capsys):
+    # S = {1, 2, 4, 5, 6, 7} around T1 node 3, node 6 at 3 levels: the system's
+    # model ids are not the core's, and the core's index reads them as they are.
+    # Pinned from the verify that rewrote the system into core ids, without the
+    # singular values, cuts and gaps, which vary with the BLAS build.
+    monkeypatch.chdir(tmp_path)
+    edges = [(0, v) for v in (1, 2, 4, 5, 6, 7)]
+    edges += [(1, 5), (1, 6), (1, 7), (2, 6), (4, 5), (5, 6), (2, 3), (3, 6)]
+    m = LatentModel(Graph.from_edges(8, edges), (2, 2, 2, 2, 2, 2, 3, 2))
+    pathlib.Path("t1_inside.model").write_text(model_text(m))
+    code, out, err = run_cli(capsys, "verify", "t1_inside.model", "--trials", "3", "--seed", "0")
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert report["core"]["nodes"] == [0, 1, 2, 4, 5, 6, 7]
+    assert report["consistency"]["consistent"] is True
+    for block in ("generic_rank", "on_subspace_rank"):
+        for key in ("singular_values", "tolerance_used", "gap"):
+            del report[block][key]
+    digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+    assert digest == "0e78f07b238a8f72b143e220537c3f0be084934cf33b42a5a3fb69772e43b379"
 
 
 def test_python_dash_m_entry_point():

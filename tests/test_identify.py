@@ -174,7 +174,7 @@ def test_classify_path5(path5):
     assert len(verdict.clique_certs) == 4
     for clique, cert in verdict.clique_certs:
         assert cert is not None
-        cert.validate(verdict.s_graph, verdict.s_node_map)
+        cert.validate(*induced_subgraph(path5.graph, sorted(verdict.s_nodes)))
 
 
 def test_classify_triangle_isolated(triangle_isolated):
@@ -284,12 +284,14 @@ def test_classify_sparse_graph_stops_at_the_first_complement_clique(monkeypatch)
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("latident") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
-    verdict = classify(sparse_model(300))
+    m = sparse_model(300)
+    verdict = classify(m)
     assert verdict.status is Status.IDENTIFIED_EVERYWHERE
     assert builds["complement"] <= 2
-    (walk,) = [walk for g, walk in walks if g != verdict.s_graph]
+    g_s, node_map = induced_subgraph(m.graph, sorted(verdict.s_nodes))
+    (walk,) = [walk for g, walk in walks if g != g_s]
     assert [len(c) >= 3 for c in walk] == [False] * (len(walk) - 1) + [True]
-    assert frozenset(verdict.s_node_map[v] for v in walk[-1]) == verdict.m_clique
+    assert frozenset(node_map[v] for v in walk[-1]) == verdict.m_clique
 
 
 def test_classify_covers_every_shape_hidden_adjacent_to_all():
@@ -303,7 +305,7 @@ def test_classify_covers_every_shape_hidden_adjacent_to_all():
             not {(a, b), (a, c), (b, c)} & observed
             for a, b, c in combinations(range(1, g.node_count), 3)
         )
-        connected = len(connected_components(verdict.s_graph)) == 1
+        connected = len(connected_components(induced_subgraph(g, sorted(verdict.s_nodes))[0])) == 1
         expected = not connected and not comp_triangle
         assert (verdict.status is Status.NOT_IDENTIFIED) == expected, sorted(observed)
         assert verdict.probe_only == (connected and not comp_triangle), sorted(observed)

@@ -19,7 +19,9 @@ from latident import (
 
 from latident.loglinear import param_count
 
-from conftest import FIXTURE_NAMES, hidden_over_all_graphs, load_model
+from conftest import (
+    FIXTURE_NAMES, complete_model, hidden_over_all_graphs, load_model, t1_clique_model,
+)
 
 SINGLE_EDGE = LatentModel.binary(Graph.from_edges(2, [(0, 1)]))
 
@@ -213,6 +215,13 @@ def test_param_count_matches_index():
     assert sum(len(set(m.levels)) > 1 for m in models) > 150
     for m in models:
         assert param_count(m) == build_param_index(m).p, m
+    # past where the index can be built, closed forms: b{0}, b{1}, b{0,1},
+    # b{1,2} and the 2^20 - 1 nonempty subsets of a T1 clique K_20 beside mu;
+    # the product of the levels on a complete graph
+    assert param_count(t1_clique_model(20)) == 1_048_580
+    assert param_count(complete_model((2,) * 1200)) == 2**1200
+    levels = (2, *(2 + v % 3 for v in range(1, 40)))
+    assert param_count(complete_model(levels)) == math.prod(levels)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES + list(MULTI_LEVEL_MODELS))
