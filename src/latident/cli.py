@@ -6,11 +6,10 @@ Model file grammar (one directive per line, '#' starts a comment):
     levels V=L       level count for node V (default 2; node 0 must stay 2)
     edge I J         undirected edge
 
-Commands: classify (structural verdict only), verify (verdict plus numerical
-cross-check), rank (raw rank oracle at one point), locus (singular equations
-only).  Reports go to stdout as JSON; diagnostics to stderr.  Exit codes for
-classify/verify: 0 identified everywhere, 2 generically identified, 3 not
-identified, 1 any error.
+USAGE lists the commands and their options, whose names are spelled in full.
+Reports go to stdout as JSON; diagnostics to stderr, where a malformed command
+line gets USAGE and a `latident: error:` line.  Exit codes for classify/verify:
+0 identified everywhere, 2 generically identified, 3 not identified, 1 any error.
 
 A report is written as it is produced, with the bytes json.dumps(report,
 indent=2) would give: the small blocks go through the encoder in one pass and
@@ -21,7 +20,6 @@ generators and never as text.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from typing import IO
@@ -242,7 +240,7 @@ def _check_seed(seed: int) -> None:
         raise ValidationError("--seed must be >= 0")
 
 
-def cmd_verify(path: str, trials: int, seed: int) -> int:
+def cmd_verify(path: str, trials: int = 50, seed: int = 0) -> int:
     if trials < 1:
         raise ValidationError("--trials must be >= 1")
     _check_seed(seed)
@@ -308,7 +306,7 @@ def _load_beta(path: str, idx: ParamIndex) -> np.ndarray:
     return beta
 
 
-def cmd_rank(path: str, beta_path: str | None, seed: int) -> int:
+def cmd_rank(path: str, beta_path: str | None = None, seed: int = 0) -> int:
     _check_seed(seed)
     m = parse_model(path)
     design_cells(m, param_count(m))  # refuses an oversized design before the index is built
@@ -345,54 +343,66 @@ def cmd_locus(path: str) -> int:
     return EXIT_OK
 
 
-@functools.cache  # built once per process: parse_args leaves the parser unchanged
-def _build_parser():
-    import argparse  # here only, so `import latident` does not load argparse
+USAGE = """\
+usage: latident classify <file>             structural verdict and evidence
+       latident verify <file> [--trials N] [--seed S]
+                                            verdict + numerical cross-check
+       latident rank <file> [--beta <file> | --seed S]
+                                            rank oracle at a single point
+       latident locus <file>                singular equations, one per line
+"""
 
-    parser = argparse.ArgumentParser(
-        prog="latident",
-        description=(
-            "Classify discrete graphical models with one binary hidden node by "
-            "local identifiability and cross-check the verdict numerically."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# flag -> (parameter of cmd_<command>, type); an omitted option keeps the parameter's default
+_OPTIONS = {"verify": {"--trials": ("trials", int), "--seed": ("seed", int)}, "classify": {},
+            "rank": {"--beta": ("beta_path", str), "--seed": ("seed", int)}, "locus": {}}
 
-    p_classify = sub.add_parser("classify", help="structural verdict only")
-    p_classify.add_argument("path", metavar="file")
 
-    p_verify = sub.add_parser("verify", help="verdict plus numerical cross-check")
-    p_verify.add_argument("path", metavar="file")
-    p_verify.add_argument("--trials", type=int, default=50)
-    p_verify.add_argument("--seed", type=int, default=0)
-
-    p_rank = sub.add_parser("rank", help="rank of the Jacobian at one point")
-    p_rank.add_argument("path", metavar="file")
-    group = p_rank.add_mutually_exclusive_group()
-    group.add_argument("--beta", dest="beta_path", default=None)
-    group.add_argument("--seed", type=int, default=0)
-
-    p_locus = sub.add_parser("locus", help="print the singular equations only")
-    p_locus.add_argument("path", metavar="file")
-
-    return parser
+def _read_argv(argv: list[str]) -> tuple[str, dict]:
+    """The command argv names and its cmd_<command>'s keyword arguments, or ValueError."""
+    if not argv or argv[0] not in _OPTIONS:
+        raise ValueError(f"invalid command: {argv[0]!r}" if argv else "expected a command")
+    command, tokens, kwargs, given, extra = argv[0], iter(argv[1:]), {}, {}, []
+    for token in tokens:
+        flag, has_value, value = token.partition("=")
+        if flag in _OPTIONS[command]:
+            if not has_value and (value := next(tokens, None)) is None:
+                raise ValueError(f"argument {flag}: expected one argument")
+            name, kind = _OPTIONS[command][flag]
+            try:
+                kwargs[name] = given[flag] = kind(value)
+            except ValueError:
+                raise ValueError(f"argument {flag}: invalid int value: {value!r}") from None
+        elif token.startswith("-") or "path" in kwargs:
+            extra.append(token)
+        else:
+            kwargs["path"] = token
+    if command == "rank" and len(given) == 2:  # --beta or --seed, not both
+        raise ValueError("argument {1}: not allowed with argument {0}".format(*given))
+    if "path" not in kwargs:
+        raise ValueError("the following arguments are required: file")
+    if extra:
+        raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+    return command, kwargs
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        return EXIT_OK
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse's usage exit is 2, which means "generically identified"
-        return EXIT_ERROR if exc.code else EXIT_OK
+        command, kwargs = _read_argv(argv)
+    except ValueError as exc:
+        sys.stderr.write(f"{USAGE}latident: error: {exc}\n")
+        return EXIT_ERROR
     # cmd_<command> is looked up at call time, so a wrapper bound to that name is called
-    kwargs = {k: v for k, v in vars(args).items() if k != "command"}
     try:
-        return globals()[f"cmd_{args.command}"](**kwargs)
+        return globals()[f"cmd_{command}"](**kwargs)
     except (LatidentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except MemoryError:
-        print(f"error: out of memory in the {args.command} command", file=sys.stderr)
-        return EXIT_ERROR
+        print(f"error: out of memory in the {command} command", file=sys.stderr)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from latident import (
     build_param_index,
     parse_model,
 )
-from latident.cli import main
+from latident.cli import USAGE, main
 
 from conftest import (
     FIXTURE_NAMES, dense_model, k23_with_t1_model, load_model, model_path, model_text, star_model,
@@ -280,13 +280,37 @@ def test_python_dash_m_entry_point():
     assert json.loads(proc.stdout)["verdict"]["status"] == "identified_everywhere"
 
 
-def test_import_does_not_load_argparse():
+def test_python_dash_m_cli_module_runs_a_command():
+    # `python -m latident.cli` runs main too; exiting 0 without a report would
+    # read as "identified everywhere"
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import latident, sys; assert 'argparse' not in sys.modules"],
+        [sys.executable, "-m", "latident.cli", "classify", model_path("triangle_isolated")],
         capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["verdict"]["status"] == "not_identified"
+
+
+def test_import_does_not_load_argparse():
+    # neither importing the package nor a cold call of main loads argparse or
+    # the modules it brings for its messages
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys, latident\n"
+        "from latident.cli import main\n"
+        f"assert main(['classify', {model_path('path5')!r}]) == 0\n"
+        f"assert main(['verify', {model_path('path5')!r}, '--tol', '1e-3']) == 1\n"
+        "assert main(['--help']) == 0\n"
+        "loaded = {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -629,31 +653,57 @@ def test_node_count_too_large_to_hold_is_a_validation_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["verify", model_path("path5"), "--trails", "5"],
-        ["verify", model_path("path5"), "--seed", "abc"],
-        ["verify", model_path("path5"), "--tol", "1e-3"],
-        ["rank", model_path("path5"), "--tol", "1e-3"],
-        ["verify"],
-        ["frobnicate", "x"],
-        [],
+        (["verify", model_path("path5"), "--trails", "5"], "unrecognized arguments: --trails 5"),
+        (["verify", model_path("path5"), "--seed", "abc"],
+         "argument --seed: invalid int value: 'abc'"),
+        (["verify", model_path("path5"), "--tol", "1e-3"], "unrecognized arguments: --tol 1e-3"),
+        (["rank", model_path("path5"), "--tol", "1e-3"], "unrecognized arguments: --tol 1e-3"),
+        (["verify"], "the following arguments are required: file"),
+        (["frobnicate", "x"], "invalid command: 'frobnicate'"),
+        ([], "expected a command"),
+        (["rank", model_path("path5"), "--beta", "B", "--seed", "1"],
+         "argument --seed: not allowed with argument --beta"),
+        (["verify", model_path("path5"), "--trials"], "argument --trials: expected one argument"),
+        (["verify", model_path("path5"), "--trials", "3.5"],
+         "argument --trials: invalid int value: '3.5'"),
+        (["classify", model_path("path5"), "G"], "unrecognized arguments: G"),
+        # option names are spelled in full: a prefix of one is not that option
+        (["verify", model_path("path5"), "--tri", "3"], "unrecognized arguments: --tri 3"),
     ],
     ids=["unknown-option", "bad-seed", "verify-tol", "rank-tol", "no-file", "unknown-command",
-         "bare"],
+         "bare", "beta-and-seed", "missing-value", "non-int", "second-file", "prefix"],
 )
-def test_usage_errors_exit_1(capsys, argv):
-    # argparse exits 2 on its own, which would read as "generically identified"
+def test_usage_errors_exit_1(capsys, argv, message):
+    # exit 2 would read as "generically identified"
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert "usage: latident" in err
+    assert err == f"{USAGE}latident: error: {message}\n"
 
 
 def test_help_exits_0(capsys):
-    code, out, _ = run_cli(capsys, "--help")
-    assert code == 0
-    assert out.startswith("usage: latident")
+    for argv in (["--help"], ["verify", "-h"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == USAGE
+        assert out.startswith("usage: latident")
+        assert err == ""
+
+
+def test_seed_option_forms_give_one_report(capsys):
+    path = model_path("k4_pendants")
+    reports = {
+        run_cli(capsys, *argv)[1]
+        for argv in (
+            ["verify", path, "--trials", "3", "--seed=7"],
+            ["verify", "--seed", "7", path, "--trials", "3"],
+            ["verify", path, "--seed", "1", "--trials", "3", "--seed", "7"],
+        )
+    }
+    assert len(reports) == 1
+    assert json.loads(reports.pop())["seed"] == 7
 
 
 @pytest.mark.parametrize("command", ["classify", "verify", "locus"])

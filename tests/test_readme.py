@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+from latident.cli import USAGE
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -9,3 +11,10 @@ def test_readme_library_example_runs():
     block = re.search(r"```python\n(.*?)```", library, re.S)
     assert block is not None, "no python block under ## Library"
     exec(compile(block.group(1), "README.md (Library)", "exec"), {})
+
+
+def test_help_prints_the_readme_synopsis():
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = re.match(r"\s*```\n(.*?)```", section, re.S)
+    assert block is not None, "no code block opens ## Command line"
+    assert block.group(1) == USAGE
