@@ -13,15 +13,16 @@ line gets USAGE and a `latident: error:` line.  Exit codes for classify/verify:
 
 A report is written as it is produced, with the bytes json.dumps(report,
 indent=2) would give: the small blocks go through the encoder in one pass and
-the singular system is written one equation at a time, its text built from the
-equation's generator, so a large classify or locus holds the system as
-generators and never as text.
+the singular system is written one equation at a time as its generator, the
+designated coordinate and the anchored tokens (schema 3), so a report grows
+with the equation count, not the term count.  Only locus expands the terms.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from functools import cache
 from typing import IO
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError, LatidentError, NotApplicableError, ParseError, ValidationError,
 )
-from .graph import Graph, NodeSet
+from .graph import Graph, _bits
 from .identify import Status, Verdict, classify
 from .loglinear import (
     LatentModel, ParamIndex, _core, build_param_index, design_cells, param_count,
@@ -37,7 +38,7 @@ from .loglinear import (
 from .numeric import RankReport, generic_rank, jacobian, numeric_rank, rank_on_system, sample_beta
 from .singular import SingularSystem, full_system
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -159,39 +160,37 @@ def _model_block(m: LatentModel, path: str) -> dict:
     }
 
 
-# Between two term names of an equation's "terms" list, at the list's depth.
-_TERM_SEP = '",\n          "'
+def _json_list(items) -> str:
+    """Texts of JSON values as json.dumps(..., indent=2) lists them as the value
+    of an equation's key."""
+    text = ",\n".join(f"          {item}" for item in items)
+    return f"[\n{text}\n        ]" if text else "[]"
 
 
 def _write_system(write, system: SingularSystem) -> None:
     """Write the singular_system block, one write per equation, with the bytes
     json.dumps(..., indent=2) gives it as the value of a top-level key.
 
-    Each equation's names come straight from its generator through the system's
-    coordinate table; a name's JSON string is the name in quotes (see
-    ParamEntry.name).  Each distinct source set and boundary subset is encoded once.
+    Each equation is written as its generator: the designated coordinate
+    {0} | V0 and the anchored slots' tokens, read through the system's one
+    coordinate table, so no term beyond the first is built.  A name's or a
+    token's JSON string is itself in quotes (see ParamEntry.name).  Each
+    distinct anchored mask, source set and boundary subset is encoded once.
     """
-    encoded: dict[NodeSet | tuple[int, ...], str] = {}
-
-    def node_list(ns: NodeSet | tuple[int, ...]) -> str:
-        text = encoded.get(ns)
-        if text is None:
-            items = ",\n".join(f"          {v}" for v in sorted(ns))
-            text = encoded[ns] = f"[\n{items}\n        ]" if ns else "[]"
-        return text
-
     equations = system.equations
+    coords = equations[0].coords if equations else None
+    source_list = cache(lambda ns: _json_list(sorted(ns)))
+    anchored_list = cache(lambda slots: _json_list(f'"{coords.token(s)}"' for s in _bits(slots)))
+    boundary_list = cache(lambda v0: _json_list(coords.entry(v0).nodes[1:]))
     write(f'{{\n    "equation_count": {len(equations)},\n    "equations": [')
     sep = "\n"
     for eq in equations:
-        names = eq.names
         write(
-            f'{sep}      {{\n        "text": "{" + ".join(names)} = 0",\n'
-            f'        "terms": [\n          "{_TERM_SEP.join(names)}"\n        ],\n'
-            f'        "designated": "{names[0]}",\n'
+            f'{sep}      {{\n        "designated": "{coords.name(eq.v0)}",\n'
+            f'        "anchored": {anchored_list(eq.anchored)},\n'
             f'        "source_kind": "boundary",\n'
-            f'        "source_set": {node_list(eq.source_set)},\n'
-            f'        "source_boundary_subset": {node_list(eq.boundary_subset)}\n      }}'
+            f'        "source_set": {source_list(eq.source_set)},\n'
+            f'        "source_boundary_subset": {boundary_list(eq.v0)}\n      }}'
         )
         sep = ",\n"
     write("\n    ]\n  }" if equations else "]\n  }")

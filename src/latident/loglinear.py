@@ -63,6 +63,11 @@ class LatentModel:
         return math.prod(self.levels[1:])
 
 
+def _token(v: int, l: int) -> str:
+    """Node v at level l in a coordinate name: "v" at level 1, "v:l" otherwise."""
+    return str(v) if l == 1 else f"{v}:{l}"
+
+
 @dataclass(frozen=True)
 class ParamEntry:
     """One parameter coordinate: a complete subset plus a non-zero level per member.
@@ -83,10 +88,7 @@ class ParamEntry:
         double quotes; the report writer relies on that."""
         if not self.nodes:
             return "mu"
-        parts = [
-            str(v) if l == 1 else f"{v}:{l}" for v, l in zip(self.nodes, self.levels)
-        ]
-        return "b{" + ",".join(parts) + "}"
+        return "b{" + ",".join(map(_token, self.nodes, self.levels)) + "}"
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,10 @@ node mask.  The coordinate of V0 | I is the OR of their slot masks, and the
 subsets of a slot mask come in the (size, lexicographic) order of their nodes,
 which is column order.  A system's coordinate table builds one ParamEntry and
 one name per distinct coordinate, on first lookup; an equation's `terms` and
-`names` are views through it.  The equations are sorted once, on a key read off
-each generator (`_sort_key`) that orders them as their terms' sort keys do.
+`names` are views through it, which `locus` and `numeric` read, while a report
+writes the generator itself (the name of {0} | V0 and the anchored slots'
+tokens).  The equations are sorted once, on a key read off each generator
+(`_sort_key`) that orders them as their terms' sort keys do.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from .errors import NotApplicableError
 from .graph import Graph, NodeSet, _bits, _complete_within, _mask_of, induced_subgraph
 from .identify import Status, _neighborhoods, _plain_ok, classify, latent_partition
-from .loglinear import LATENT, LatentModel, ParamEntry, ParamIndex
+from .loglinear import LATENT, LatentModel, ParamEntry, ParamIndex, _token
 from .numeric import _eliminate, _sample
 
 
@@ -49,7 +51,8 @@ from .numeric import _eliminate, _sample
 class _Coordinates:
     """A system's coordinate table: `entry` and `name` map a slot mask of G_S
     to its ParamEntry and its name, and `subsets` an anchored mask to its
-    subsets, each built on first lookup and kept as long as the table.
+    subsets, each built on first lookup and kept as long as the table.  `token`
+    gives one slot's node and level as a name writes them.
 
     Slot s stands for node node_map[s // width] at level s % width + 1.  Two
     tables are equal when they read every slot mask alike.
@@ -63,6 +66,9 @@ class _Coordinates:
         object.__setattr__(self, "entry", entry)
         object.__setattr__(self, "name", cache(lambda slots: entry(slots).name))
         object.__setattr__(self, "subsets", cache(_subsets))
+
+    def token(self, slot: int) -> str:
+        return _token(self.node_map[slot // self.width], slot % self.width + 1)
 
     def _entry(self, slots: int) -> ParamEntry:
         w, bits = self.width, _bits(slots)
@@ -87,7 +93,8 @@ class SingularEquation:
     module docstring) and `source_set` is the failing set the equation came
     from, in model ids.  The terms are {0} | V0 | I over the subsets I of
     anchored, in column order, so the first is {0} | V0.  `terms` and `names`
-    are built from the system's coordinate table on each use.
+    are built from the system's coordinate table on each use; a report writes
+    the generator instead, as `designated` and `anchored` (see cli._write_system).
     """
 
     v0: int
@@ -106,11 +113,6 @@ class SingularEquation:
     def names(self) -> list[str]:
         """The terms' names, in column order."""
         return list(map(self.coords.name, self._slots()))
-
-    @property
-    def boundary_subset(self) -> tuple[int, ...]:
-        """V0, in model ids ascending."""
-        return self.coords.entry(self.v0).nodes[1:]
 
     def render(self) -> str:
         return " + ".join(self.names) + " = 0"

@@ -26,6 +26,10 @@ from conftest import (
 )
 
 
+# the keys of one equation of a schema 3 singular_system block, in order
+EQUATION_KEYS = ["designated", "anchored", "source_kind", "source_set", "source_boundary_subset"]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -116,6 +120,8 @@ def test_classify_exit_codes(capsys):
     report = json.loads(out)
     assert report["singular_system"]["equation_count"] == 3
     assert list(report["singular_system"]) == ["equation_count", "equations"]
+    for eq in report["singular_system"]["equations"]:
+        assert list(eq) == EQUATION_KEYS
 
     code, out, _ = run_cli(capsys, "classify", model_path("triangle_isolated"))
     assert code == 3
@@ -125,7 +131,7 @@ def test_classify_exit_codes(capsys):
 def test_classify_report_content(capsys):
     code, out, _ = run_cli(capsys, "classify", model_path("path5"))
     report = json.loads(out)
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     assert report["p"] == 20
     assert report["verdict"]["m_clique"] == [1, 3, 5]
     assert report["verdict"]["t1_nodes"] == []
@@ -249,7 +255,8 @@ def test_verify_with_a_t1_node_inside_s_matches_pinned_digest(tmp_path, monkeypa
     # S = {1, 2, 4, 5, 6, 7} around T1 node 3, node 6 at 3 levels: the system's
     # model ids are not the core's, and the core's index reads them as they are.
     # Pinned from the verify that rewrote the system into core ids, without the
-    # singular values, cuts and gaps, which vary with the BLAS build.
+    # singular values, cuts and gaps, which vary with the BLAS build; re-pinned
+    # for schema 3, which writes each equation as its generator.
     monkeypatch.chdir(tmp_path)
     edges = [(0, v) for v in (1, 2, 4, 5, 6, 7)]
     edges += [(1, 5), (1, 6), (1, 7), (2, 6), (4, 5), (5, 6), (2, 3), (3, 6)]
@@ -264,7 +271,7 @@ def test_verify_with_a_t1_node_inside_s_matches_pinned_digest(tmp_path, monkeypa
         for key in ("singular_values", "tolerance_used", "gap"):
             del report[block][key]
     digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
-    assert digest == "0e78f07b238a8f72b143e220537c3f0be084934cf33b42a5a3fb69772e43b379"
+    assert digest == "976026106bbde6e78984f3e59dadccaed3385544e8c5ce3def63e3263951059d"
 
 
 def test_python_dash_m_entry_point():
@@ -440,19 +447,20 @@ def test_locus_prints_equations_only(capsys):
 
 
 def test_classify_report_matches_pinned_digest(tmp_path, monkeypatch, capsys):
-    # the whole classify report of the 4,441-equation dense system; it differs
-    # from the schema 1 report, which print(json.dumps(report, indent=2)) wrote
-    # before reports were streamed, only in schema_version and in the dropped
-    # expected_rank_drop_full key
+    # the whole schema 3 classify report of the 4,441-equation dense system;
+    # test_classify_equations_expand_to_the_locus ties its equations to the
+    # pinned locus digest, so the report keeps every term of the system
     monkeypatch.chdir(tmp_path)
     pathlib.Path("dense12.model").write_text(model_text(dense_model(12)))
     code, out, err = run_cli(capsys, "classify", "dense12.model")
     assert (code, err) == (2, "")
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "03f820454a10d15a024fa056813273c66b1a6feb7be0018e14be60fe4fd17533"
+    assert digest == "4e32c75100512c5f2a2bdcc9c4f6ac7000a7356bb6069e8c39bee421946593eb"
 
 
-@pytest.mark.parametrize(
+# locus output of a large binary and a large multi-level system, pinned from
+# the implementation that kept each equation as a list of terms
+LOCUS_DIGESTS = pytest.mark.parametrize(
     "levels, lines, digest",
     [
         ({}, 4441, "18b54c3b7a44a919dcce2df690eb51b8644f20541fe1346c61bcc50d4f38717b"),
@@ -460,16 +468,57 @@ def test_classify_report_matches_pinned_digest(tmp_path, monkeypatch, capsys):
     ],
     ids=["dense12", "dense9_3lev"],
 )
-def test_locus_matches_pinned_digest(tmp_path, capsys, levels, lines, digest):
-    # locus output of a large binary and a large multi-level system, pinned
-    # from the implementation that kept each equation as a list of terms
+
+
+def _locus_model_path(tmp_path, levels) -> str:
     base = dense_model(9 if levels else 12)
     m = LatentModel(base.graph, tuple(levels.get(v, l) for v, l in enumerate(base.levels)))
     path = tmp_path / "m.model"
     path.write_text(model_text(m))
-    code, out, err = run_cli(capsys, "locus", str(path))
+    return str(path)
+
+
+@LOCUS_DIGESTS
+def test_locus_matches_pinned_digest(tmp_path, capsys, levels, lines, digest):
+    code, out, err = run_cli(capsys, "locus", _locus_model_path(tmp_path, levels))
     assert (code, err, len(out.splitlines())) == (0, "", lines)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def expand_equation(eq: dict) -> str:
+    """An equation of a schema 3 report as locus prints it: the terms are
+    b{0, V0 | I} over the subsets I of anchored, by size and then in
+    lexicographic order, the empty set first; tokens sort by node."""
+    v0 = eq["designated"][len("b{"):-len("}")].split(",")
+    anchored = eq["anchored"]
+    subsets = (sub for r in range(len(anchored) + 1) for sub in itertools.combinations(anchored, r))
+    terms = (sorted(v0 + list(sub), key=lambda t: int(t.partition(":")[0])) for sub in subsets)
+    return " + ".join("b{" + ",".join(t) + "}" for t in terms) + " = 0"
+
+
+@LOCUS_DIGESTS
+def test_classify_equations_expand_to_the_locus(tmp_path, capsys, levels, lines, digest):
+    # the generator schema loses nothing: expanded, classify's equations are
+    # locus's lines byte for byte
+    code, out, err = run_cli(capsys, "classify", _locus_model_path(tmp_path, levels))
+    assert (code, err) == (2, "")
+    equations = json.loads(out)["singular_system"]["equations"]
+    text = "".join(expand_equation(eq) + "\n" for eq in equations)
+    assert (len(equations), hashlib.sha256(text.encode()).hexdigest()) == (lines, digest)
+
+
+def test_forced_zero_equation_has_no_anchored_node(tmp_path, capsys):
+    # G_S = K_{2,3} with parts {1, 2} and {3, 4, 5}, one of the ten labellings
+    # whose systems force a coordinate to zero: a single-term equation
+    edges = [(0, v) for v in range(1, 6)] + list(itertools.product((1, 2), (3, 4, 5)))
+    path = tmp_path / "k23.model"
+    path.write_text(model_text(LatentModel.binary(Graph.from_edges(6, edges))))
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, err) == (2, "")
+    equations = json.loads(out)["singular_system"]["equations"]
+    forced = [eq for eq in equations if eq["anchored"] == []]
+    assert forced and all(expand_equation(eq) == f"{eq['designated']} = 0" for eq in forced)
+    assert '"anchored": []' in out
 
 
 # generated models of the round-trip test: dense ladders and multi-level nodes
@@ -502,8 +551,9 @@ def test_multi_level_round_trip_model_has_multi_level_equations(capsys, tmp_path
     path.write_text(model_text(ROUND_TRIP_MODELS["k4_pendants_levels3"]))
     code, out, _ = run_cli(capsys, "classify", str(path))
     assert code == 2
-    terms = [t for eq in json.loads(out)["singular_system"]["equations"] for t in eq["terms"]]
-    assert any(":" in t for t in terms)
+    equations = json.loads(out)["singular_system"]["equations"]
+    tokens = [t for eq in equations for t in [*eq["designated"].split(","), *eq["anchored"]]]
+    assert any(":" in t for t in tokens)
 
 
 def test_classify_builds_no_param_index(monkeypatch, capsys):
@@ -524,6 +574,30 @@ def test_classify_builds_no_param_index(monkeypatch, capsys):
     assert calls == []
     run_cli(capsys, "verify", model_path("path5"), "--trials", "1")
     assert len(calls) == 1
+
+
+def test_classify_never_expands_an_equation(monkeypatch, capsys, tmp_path):
+    # the report is O(equations): classify reads no term list, no term names
+    # and no subsets of an anchored mask (the function each coordinate table
+    # caches as `subsets`)
+    from latident import SingularEquation, singular
+
+    paths = {}
+    for name in ("dense8", "k4_pendants_levels3"):
+        paths[name] = tmp_path / f"{name}.model"
+        paths[name].write_text(model_text(ROUND_TRIP_MODELS[name]))
+    full = {name: run_cli(capsys, "classify", str(path)) for name, path in paths.items()}
+
+    def expanded(*args):
+        raise AssertionError("classify expanded an equation")
+
+    for attr in ("names", "terms"):
+        monkeypatch.setattr(SingularEquation, attr, property(expanded))
+    monkeypatch.setattr(singular, "_subsets", expanded)
+    for name, path in paths.items():
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert (code, out, err) == full[name]
+        assert code == 2 and json.loads(out)["singular_system"]["equation_count"] > 0
 
 
 def test_verify_walks_each_graph_once(monkeypatch, capsys):
@@ -723,20 +797,27 @@ def test_memory_error_is_an_error_line(monkeypatch, capsys, command):
 
 def test_memory_error_mid_report_leaves_a_prefix(monkeypatch, capsys):
     # the report is streamed, so what was written before the MemoryError stays
-    # on stdout: a reader checks the exit code before parsing
-    from latident import SingularEquation
+    # on stdout: a reader checks the exit code before parsing.  The writer
+    # looks up one name per equation, its designated coordinate's.
+    from latident.singular import _Coordinates
 
     _, full, _ = run_cli(capsys, "classify", model_path("k4_pendants"))
     calls = []
-    names = SingularEquation.names
+    post_init = _Coordinates.__post_init__
 
-    def second_call_fails(eq):
-        calls.append(eq)
-        if len(calls) == 2:
-            raise MemoryError
-        return names.fget(eq)
+    def second_name_fails(coords):
+        post_init(coords)
+        name = coords.name
 
-    monkeypatch.setattr(SingularEquation, "names", property(second_call_fails))
+        def lookup(slots):
+            calls.append(slots)
+            if len(calls) == 2:
+                raise MemoryError
+            return name(slots)
+
+        object.__setattr__(coords, "name", lookup)
+
+    monkeypatch.setattr(_Coordinates, "__post_init__", second_name_fails)
     code, out, err = run_cli(capsys, "classify", model_path("k4_pendants"))
     assert code == 1
     assert err == "error: out of memory in the classify command\n"
