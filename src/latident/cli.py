@@ -248,11 +248,11 @@ def cmd_verify(path: str, trials: int = 50, seed: int = 0) -> int:
     # The ranks are taken on the core, which has the model's rank deficit (see _core).
     core, ids = _core(m)
     design_cells(core, param_count(core))  # refuses an oversized design before the index is built
-    idx = ParamIndex(build_param_index(core).entries, ids)
-    generic = generic_rank(core, trials=trials, seed=seed, idx=idx)
+    idx = ParamIndex(core, build_param_index(core).entries, ids)
+    generic = generic_rank(idx, trials=trials, seed=seed)
     on_system = None
     if verdict.singular_system is not None:
-        on_system = rank_on_system(core, verdict.singular_system, trials=trials, seed=seed, idx=idx)
+        on_system = rank_on_system(idx, verdict.singular_system, trials=trials, seed=seed)
 
     full = generic.rank == idx.p  # generic.rank is the top trial rank
     if verdict.status is Status.IDENTIFIED_EVERYWHERE:
@@ -316,7 +316,7 @@ def cmd_rank(path: str, beta_path: str | None = None, seed: int = 0) -> int:
     else:
         beta = sample_beta(idx.p, [seed, 0])
         beta_source = {"kind": "sampled", "seed": seed}
-    report_obj = numeric_rank(jacobian(m, idx, beta))
+    report_obj = numeric_rank(jacobian(idx, beta))
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "rank",

@@ -93,13 +93,17 @@ class ParamEntry:
 
 @dataclass(frozen=True)
 class ParamIndex:
-    """Ordered parameter coordinates with a coordinate -> column lookup.
+    """The model whose parameters these are, its ordered coordinates and a
+    coordinate -> column lookup.  The numeric layer takes the index alone: the
+    model fixes the design's cells and the Jacobian's row count.
 
-    The index of a model's core (`_core`) holds the core's ids in its entries
-    and the model id of each core node in `node_ids`; `lookup` and `names` read
-    coordinates in the model's ids, so a singular system is looked up as it is.
+    The index of a model's core (`_core`) holds the core model, the core's ids
+    in its entries and the model id of each core node in `node_ids`; `lookup`
+    and `names` read coordinates in the model's ids, so a singular system is
+    looked up as it is.
     """
 
+    model: LatentModel
     entries: tuple[ParamEntry, ...]
     node_ids: tuple[int, ...] | None = None
 
@@ -130,7 +134,7 @@ def build_param_index(m: LatentModel) -> ParamIndex:
     for nodes in subsets:
         for combo in product(*(range(1, m.levels[v]) for v in nodes)):
             entries.append(ParamEntry(nodes, combo))
-    return ParamIndex(tuple(entries))
+    return ParamIndex(m, tuple(entries))
 
 
 def param_count(m: LatentModel) -> int:
@@ -198,15 +202,15 @@ def design_cells(m: LatentModel, p: int) -> np.ndarray:
         ) from None
 
 
-def design_matrix(m: LatentModel, idx: ParamIndex) -> np.ndarray:
-    """Corner-point 0/1 design matrix, shape (2l, p), C-contiguous float64.
+def design_matrix(idx: ParamIndex) -> np.ndarray:
+    """Corner-point 0/1 design matrix of idx's model, shape (2l, p), C-contiguous float64.
 
     Entry (cell, (I, combo)) is 1 iff the cell's level of every v in I equals
     the combo's level for v; the empty-set column is all ones.  Column j is
     filled as one grid slice of the `design_cells` array: the axes of the nodes
     in I are fixed at the combo's levels, every other axis is free.
     """
-    z = design_cells(m, idx.p)
+    z = design_cells(idx.model, idx.p)
     for j, e in enumerate(idx.entries):
         cell: list = [slice(None)] * (z.ndim - 1)
         for v, level in zip(e.nodes, e.levels):

@@ -2,10 +2,12 @@
 
 The Jacobian of the observed-table mean vector with respect to the log-linear
 parameters is L diag(exp(Z beta)) Z; its column rank at a point decides local
-identifiability there.  L sums out the hidden variable.  It is applied as the
-sum of the two hidden-level halves (rows 0..l-1 and l..2l-1 of the cell
-stacking) and never formed: every entry of the dense product is that same
-two-term sum plus exact zeros, so the result is bitwise the same.
+identifiability there.  Every function here takes the parametrization as one
+`ParamIndex`, which carries its model: the full model, or for `verify` the
+core.  L sums out the hidden variable.  It is applied as the sum of the two
+hidden-level halves (rows 0..l-1 and l..2l-1 of the cell stacking) and never
+formed: every entry of the dense product is that same two-term sum plus exact
+zeros, so the result is bitwise the same.
 
 Rank is measured by full SVD with one relative cut, max(rows, cols) * eps *
 sigma_max, fixed in `numeric_rank` and reported as `tolerance_used`, and a gap
@@ -33,7 +35,7 @@ from .errors import (
     InconsistentSystemError,
     ValidationError,
 )
-from .loglinear import LatentModel, ParamIndex, build_param_index, design_matrix
+from .loglinear import ParamIndex, design_matrix
 
 SAFE_EXPONENT = 700.0
 GAP_RULE = 1.0e3
@@ -116,15 +118,13 @@ def _sample(rows: list[list[tuple[int, int]]], p: int, seed) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=1)  # verify and rank reuse only the current model's Z
-def _design(m: LatentModel, idx: ParamIndex) -> np.ndarray:
-    return design_matrix(m, idx)
+@lru_cache(maxsize=1)  # verify and rank reuse only the current index's Z
+def _design(idx: ParamIndex) -> np.ndarray:
+    return design_matrix(idx)
 
 
-def _cell_means(
-    m: LatentModel, idx: ParamIndex, beta: NDArray
-) -> tuple[np.ndarray, NDArray[np.float64]]:
-    """Design matrix Z and the full-table mean vector exp(Z beta)."""
+def _cell_means(idx: ParamIndex, beta: NDArray) -> tuple[np.ndarray, NDArray[np.float64]]:
+    """Design matrix Z of idx's model and the full-table mean vector exp(Z beta)."""
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (idx.p,):
         raise DimensionMismatchError(
@@ -132,25 +132,26 @@ def _cell_means(
         )
     if not np.all(np.isfinite(beta)):
         raise ValidationError("beta has non-finite coordinates")
-    z = _design(m, idx)
+    z = _design(idx)
     eta = z @ beta
     if np.max(np.abs(eta)) > SAFE_EXPONENT:
         raise ExponentOverflowError("linear predictor exceeds the safe exponent range")
     return z, np.exp(eta)
 
 
-def mu_y(m: LatentModel, idx: ParamIndex, beta: NDArray) -> NDArray[np.float64]:
-    """Observed-table mean vector L exp(Z beta), shape (l,)."""
-    _, w = _cell_means(m, idx, beta)
-    l = m.table_size
+def mu_y(idx: ParamIndex, beta: NDArray) -> NDArray[np.float64]:
+    """Observed-table mean vector L exp(Z beta) of idx's model, shape (l,)."""
+    _, w = _cell_means(idx, beta)
+    l = idx.model.table_size
     return w[:l] + w[l:]
 
 
-def jacobian(m: LatentModel, idx: ParamIndex, beta: NDArray) -> NDArray[np.float64]:
-    """Jacobian of mu_y with respect to beta: L diag(exp(Z beta)) Z, shape (l, p)."""
-    z, w = _cell_means(m, idx, beta)
+def jacobian(idx: ParamIndex, beta: NDArray) -> NDArray[np.float64]:
+    """Jacobian of mu_y with respect to beta: L diag(exp(Z beta)) Z, shape (l, p),
+    with l the table size of idx's model."""
+    z, w = _cell_means(idx, beta)
     d = w[:, None] * z
-    l = m.table_size
+    l = idx.model.table_size
     return d[:l] + d[l:]
 
 
@@ -176,7 +177,7 @@ def numeric_rank(mat: NDArray) -> RankReport:
         ambiguous = gap < GAP_RULE
     return RankReport(
         rank=rank,
-        singular_values=tuple(float(s) for s in sv),
+        singular_values=tuple(sv.tolist()),
         tolerance_used=tol_used,
         p=mat.shape[1],
         gap=gap,
@@ -184,19 +185,15 @@ def numeric_rank(mat: NDArray) -> RankReport:
     )
 
 
-def _trial_loop(
-    m: LatentModel, idx: ParamIndex | None, trials: int, seed: int, draw_for
-) -> RankReport:
-    """Rank the Jacobian at `draw((seed, t))` for t < trials and aggregate, where
-    draw = draw_for(idx) is made once, after the arguments are checked."""
+def _trial_loop(idx: ParamIndex, trials: int, seed: int, make_draw) -> RankReport:
+    """Rank idx's Jacobian at `draw((seed, t))` for t < trials and aggregate,
+    where draw = make_draw() is made once, after the arguments are checked."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    if idx is None:
-        idx = build_param_index(m)
-    draw = draw_for(idx)
-    reports = [numeric_rank(jacobian(m, idx, draw((seed, t)))) for t in range(trials)]
+    draw = make_draw()
+    reports = [numeric_rank(jacobian(idx, draw((seed, t)))) for t in range(trials)]
     ranks = tuple(r.rank for r in reports)
     best = max(reports, key=lambda r: r.rank)  # the first trial reaching the top rank
     counts = Counter(ranks)
@@ -204,28 +201,22 @@ def _trial_loop(
     return replace(best, trial_ranks=ranks, modal_rank=modal, unanimous=len(counts) == 1)
 
 
-def generic_rank(
-    m: LatentModel, trials: int = 50, seed: int = 0, idx: ParamIndex | None = None
-) -> RankReport:
-    """Maximum Jacobian rank over random parameter draws.
+def generic_rank(idx: ParamIndex, trials: int = 50, seed: int = 0) -> RankReport:
+    """Maximum rank of idx's Jacobian over random parameter draws.
 
     A single full-rank point certifies full rank almost everywhere, so the
     maximum over trials estimates the generic rank; the modal rank and any
     disagreement across trials are reported alongside.
     """
-    return _trial_loop(m, idx, trials, seed, lambda idx: partial(sample_beta, idx.p))
+    return _trial_loop(idx, trials, seed, lambda: partial(sample_beta, idx.p))
 
 
-def rank_on_system(
-    m: LatentModel, sys, trials: int = 50, seed: int = 0, idx: ParamIndex | None = None
-) -> RankReport:
-    """Maximum Jacobian rank over draws constrained to a singular system.
+def rank_on_system(idx: ParamIndex, sys, trials: int = 50, seed: int = 0) -> RankReport:
+    """Maximum rank of idx's Jacobian over draws constrained to a singular system.
 
     `_eliminate` brings the system, in model ids, to echelon form once on idx,
-    which may be the index of m's core (`ParamIndex`), and `_sample` solves each
+    which may be a core's index (`ParamIndex`), and `_sample` solves each
     trial's point from those rows, the point `sample_on_subspace` draws for that
     key.  All draws are expected to agree; `unanimous` records whether they did.
     """
-    return _trial_loop(
-        m, idx, trials, seed, lambda idx: partial(_sample, _eliminate(sys, idx), idx.p)
-    )
+    return _trial_loop(idx, trials, seed, lambda: partial(_sample, _eliminate(sys, idx), idx.p))

@@ -72,7 +72,7 @@ def test_criterion_01_path_identified_everywhere():
         idx = build_param_index(m)
         assert enumerate_p(m) == 20
         assert idx.p == 20
-        report = generic_rank(m, trials=50, seed=0)
+        report = generic_rank(idx, trials=50, seed=0)
         assert report.rank == 20
         assert time.monotonic() - start < 1.0
 
@@ -90,10 +90,11 @@ def test_criterion_02_triangle_pendants_locus():
             "b{0,6} + b{0,1,6} = 0",
         }
         assert len(system.equations) == 3
-        generic = generic_rank(m, trials=50, seed=0)
+        idx = build_param_index(m)
+        generic = generic_rank(idx, trials=50, seed=0)
         assert generic.rank == 28
         assert generic.unanimous and not generic.ambiguous
-        on_sub = rank_on_system(m, system, trials=50, seed=0)
+        on_sub = rank_on_system(idx, system, trials=50, seed=0)
         assert on_sub.rank == 27
         assert on_sub.unanimous and not on_sub.ambiguous
         assert on_sub.gap is not None and on_sub.gap >= 1e3
@@ -119,7 +120,7 @@ def test_criterion_03_k4_pendants_partial_subspaces():
         assert {eq.render() for eq in system.equations} == expected
         idx = build_param_index(m)
         assert idx.p == 40
-        assert generic_rank(m, trials=50, seed=0).rank == 40
+        assert generic_rank(idx, trials=50, seed=0).rank == 40
 
         by_text = {eq.render(): eq for eq in system.equations}
         first = by_text["b{0,5} + b{0,4,5} = 0"]
@@ -129,17 +130,17 @@ def test_criterion_03_k4_pendants_partial_subspaces():
         )
         assert len(last_seven) == 7
 
-        on_full = rank_on_system(m, system, trials=50, seed=0)
+        on_full = rank_on_system(idx, system, trials=50, seed=0)
         assert on_full.rank == 30 and on_full.unanimous
 
         # rank falls by eight on the subspace shared by the 4-clique's failing
         # sets (its two boundary equations), and by two on the last seven
         drop8 = rank_on_system(
-            m, SingularSystem((first, second)), trials=50, seed=0
+            idx, SingularSystem((first, second)), trials=50, seed=0
         )
         assert drop8.rank == 32 and drop8.unanimous
 
-        drop2 = rank_on_system(m, SingularSystem(last_seven), trials=50, seed=0)
+        drop2 = rank_on_system(idx, SingularSystem(last_seven), trials=50, seed=0)
         assert drop2.rank == 38 and drop2.unanimous
         assert time.monotonic() - start < 10.0
 
@@ -151,7 +152,7 @@ def test_criterion_04_clique_web_identified():
         verdict = classify(m)
         assert verdict.status is Status.IDENTIFIED_EVERYWHERE
         idx = build_param_index(m)
-        report = generic_rank(m, trials=50, seed=0)
+        report = generic_rank(idx, trials=50, seed=0)
         assert report.rank == idx.p
         certs = {tuple(sorted(c)): cert for c, cert in verdict.clique_certs}
         for target in ((1, 5, 8), (1, 4, 6, 8)):
@@ -167,7 +168,7 @@ def test_criterion_05_two_complete_components_never_full_rank():
         verdict = classify(m)
         assert verdict.status is Status.NOT_IDENTIFIED
         idx = build_param_index(m)
-        report = generic_rank(m, trials=100, seed=0)
+        report = generic_rank(idx, trials=100, seed=0)
         assert all(r < idx.p for r in report.trial_ranks)
 
 
@@ -178,7 +179,7 @@ def test_criterion_06_latent_class_threshold():
             m = star_model(n)
             assert classify(m).status is Status.IDENTIFIED_EVERYWHERE
             idx = build_param_index(m)
-            assert generic_rank(m, trials=30, seed=0).rank == idx.p
+            assert generic_rank(idx, trials=30, seed=0).rank == idx.p
 
 
 def _connected(n: int, adj: list[int]) -> bool:
@@ -246,13 +247,13 @@ def test_criterion_08_jacobian_against_finite_differences():
             idx = build_param_index(m)
             for t in range(20):
                 beta = sample_beta(idx.p, [100 + t, t])
-                analytic = jacobian(m, idx, beta)
+                analytic = jacobian(idx, beta)
                 worst = 0.0
                 for j in range(idx.p):
                     step = np.zeros(idx.p)
                     step[j] = h
                     fd_col = (
-                        mu_y(m, idx, beta + step) - mu_y(m, idx, beta - step)
+                        mu_y(idx, beta + step) - mu_y(idx, beta - step)
                     ) / (2 * h)
                     col = analytic[:, j]
                     err = np.linalg.norm(col - fd_col) / np.linalg.norm(col)
@@ -269,7 +270,7 @@ def test_criterion_09_edge_addition_restores_identifiability():
         verdict = classify(m)
         assert verdict.status is Status.IDENTIFIED_EVERYWHERE
         idx = build_param_index(m)
-        assert generic_rank(m, trials=30, seed=0).rank == idx.p
+        assert generic_rank(idx, trials=30, seed=0).rank == idx.p
 
 
 def test_criterion_10_multi_level_observable():
@@ -281,9 +282,9 @@ def test_criterion_10_multi_level_observable():
         idx = build_param_index(m)
         assert enumerate_p(m) == 24
         assert idx.p == 24
-        z_rank = numeric_rank(design_matrix(m, idx))
+        z_rank = numeric_rank(design_matrix(idx))
         assert z_rank.rank == 24
-        assert generic_rank(m, trials=30, seed=0).rank == 24
+        assert generic_rank(idx, trials=30, seed=0).rank == 24
 
 
 def test_criterion_11_observed_node_detached_from_hidden():
@@ -297,5 +298,5 @@ def test_criterion_11_observed_node_detached_from_hidden():
         assert sorted(verdict.s_nodes) == [1, 2, 3, 4, 5]
         assert verdict.status is Status.IDENTIFIED_EVERYWHERE
         idx = build_param_index(m)
-        report = generic_rank(m, trials=30, seed=0)
+        report = generic_rank(idx, trials=30, seed=0)
         assert report.rank == idx.p

@@ -97,7 +97,7 @@ def test_param_index_hierarchy():
 
 def test_design_matrix_single_edge():
     idx = build_param_index(SINGLE_EDGE)
-    z = design_matrix(SINGLE_EDGE, idx)
+    z = design_matrix(idx)
     expected = np.array(
         [[1, 0, 0, 0], [1, 0, 1, 0], [1, 1, 0, 0], [1, 1, 1, 1]], dtype=float
     )
@@ -108,7 +108,7 @@ def test_design_matrix_single_edge():
 def test_design_matrix_basic_structure(name):
     m = load_model(name)
     idx = build_param_index(m)
-    z = design_matrix(m, idx)
+    z = design_matrix(idx)
     assert z.shape == (2 * m.table_size, idx.p)
     assert np.array_equal(z[:, 0], np.ones(z.shape[0]))
     assert np.array_equal(z[0], np.eye(idx.p)[0])  # all-zero cell hits only the mean
@@ -118,14 +118,14 @@ def test_design_matrix_basic_structure(name):
 def test_design_matrix_full_column_rank(name):
     m = load_model(name)
     idx = build_param_index(m)
-    report = numeric_rank(design_matrix(m, idx))
+    report = numeric_rank(design_matrix(idx))
     assert report.rank == idx.p
 
 
 def test_design_matrix_full_column_rank_multi_level():
     m = LatentModel(load_model("path5").graph, (2, 3, 2, 2, 2, 2))
     idx = build_param_index(m)
-    assert numeric_rank(design_matrix(m, idx)).rank == idx.p == 24
+    assert numeric_rank(design_matrix(idx)).rank == idx.p == 24
 
 
 def reference_design_matrix(m: LatentModel, idx) -> np.ndarray:
@@ -155,7 +155,7 @@ MULTI_LEVEL_MODELS = {
 def test_design_matrix_matches_per_column_reference(name):
     m = MULTI_LEVEL_MODELS.get(name) or load_model(name)
     idx = build_param_index(m)
-    z = design_matrix(m, idx)
+    z = design_matrix(idx)
     assert z.dtype == np.float64 and z.flags.c_contiguous
     assert np.array_equal(z, reference_design_matrix(m, idx))
 
@@ -163,7 +163,7 @@ def test_design_matrix_matches_per_column_reference(name):
 def test_design_matrix_stacking_hidden_slowest():
     m = LatentModel(Graph.from_edges(3, [(0, 1), (0, 2)]), (2, 2, 3))
     idx = build_param_index(m)
-    z = design_matrix(m, idx)
+    z = design_matrix(idx)
     assert z.shape == (12, idx.p)
     # each row's level of node v, read back from the main-effect columns of v
     cells = np.column_stack([

@@ -41,12 +41,12 @@ from conftest import (
 SINGLE_EDGE = LatentModel.binary(Graph.from_edges(2, [(0, 1)]))
 
 
-def finite_difference_jacobian(m, idx, beta, h=1e-5):
+def finite_difference_jacobian(idx, beta, h=1e-5):
     cols = []
     for j in range(idx.p):
         step = np.zeros(idx.p)
         step[j] = h
-        cols.append((mu_y(m, idx, beta + step) - mu_y(m, idx, beta - step)) / (2 * h))
+        cols.append((mu_y(idx, beta + step) - mu_y(idx, beta - step)) / (2 * h))
     return np.column_stack(cols)
 
 
@@ -65,26 +65,26 @@ def test_sample_beta_deterministic_per_key():
 def test_jacobian_shape_and_fd_small():
     idx = build_param_index(SINGLE_EDGE)
     beta = sample_beta(idx.p, [1, 0])
-    d = jacobian(SINGLE_EDGE, idx, beta)
+    d = jacobian(idx, beta)
     assert d.shape == (2, 4)
     assert numeric_rank(d).rank == 2
-    fd = finite_difference_jacobian(SINGLE_EDGE, idx, beta)
+    fd = finite_difference_jacobian(idx, beta)
     assert np.allclose(d, fd, rtol=1e-6)
 
 
 def test_jacobian_near_zero_parameters_approaches_lz():
     idx = build_param_index(SINGLE_EDGE)
-    z = design_matrix(SINGLE_EDGE, idx)
+    z = design_matrix(idx)
     l_mat = marginalization_matrix(SINGLE_EDGE)
     beta = np.full(idx.p, 1e-9)
-    d = jacobian(SINGLE_EDGE, idx, beta)
+    d = jacobian(idx, beta)
     assert np.allclose(d, l_mat @ z, atol=1e-7)
 
 
 def test_jacobian_dimension_mismatch():
     idx = build_param_index(SINGLE_EDGE)
     with pytest.raises(DimensionMismatchError):
-        jacobian(SINGLE_EDGE, idx, np.ones(3))
+        jacobian(idx, np.ones(3))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -93,13 +93,13 @@ def test_non_finite_beta_rejected(fn, bad):
     # NaN compares False against the overflow bound, so it needs its own check
     idx = build_param_index(SINGLE_EDGE)
     with pytest.raises(ValidationError, match="beta has non-finite coordinates"):
-        fn(SINGLE_EDGE, idx, np.array([0.5, bad, 1.0, 1.0]))
+        fn(idx, np.array([0.5, bad, 1.0, 1.0]))
 
 
 def test_jacobian_overflow_guard():
     idx = build_param_index(SINGLE_EDGE)
     with pytest.raises(ExponentOverflowError):
-        jacobian(SINGLE_EDGE, idx, np.array([800.0, 1.0, 1.0, 1.0]))
+        jacobian(idx, np.array([800.0, 1.0, 1.0, 1.0]))
 
 
 def test_numeric_rank_identity_and_outer_product():
@@ -130,7 +130,7 @@ def test_numeric_rank_tolerance_override():
 
 
 def test_generic_rank_triangle_pendants(triangle_pendants):
-    report = generic_rank(triangle_pendants, trials=50, seed=0)
+    report = generic_rank(build_param_index(triangle_pendants), trials=50, seed=0)
     assert report.rank == 28
     assert report.modal_rank == 28
     assert report.unanimous
@@ -139,7 +139,7 @@ def test_generic_rank_triangle_pendants(triangle_pendants):
 
 def test_generic_rank_trials_validation(triangle_pendants):
     with pytest.raises(ValueError):
-        generic_rank(triangle_pendants, trials=0)
+        generic_rank(build_param_index(triangle_pendants), trials=0)
 
 
 # No rank function takes a tolerance, whatever its value: the cut is numeric_rank's own.
@@ -155,30 +155,30 @@ def test_numeric_rank_rejects_bad_tolerance(tol):
 @pytest.mark.parametrize("tol", BAD_TOLS)
 def test_generic_rank_rejects_bad_tolerance(path5, tol):
     with pytest.raises(TypeError, match="tol"):
-        generic_rank(path5, trials=2, seed=0, tol=tol)
+        generic_rank(build_param_index(path5), trials=2, seed=0, tol=tol)
 
 
 @pytest.mark.parametrize("tol", BAD_TOLS)
 def test_rank_on_system_rejects_bad_tolerance(path5, tol):
     with pytest.raises(TypeError, match="tol"):
-        rank_on_system(path5, SingularSystem(()), trials=2, seed=0, tol=tol)
+        rank_on_system(build_param_index(path5), SingularSystem(()), trials=2, seed=0, tol=tol)
 
 
 def test_generic_rank_rejects_negative_seed(path5):
     with pytest.raises(ValueError, match="seed must be >= 0"):
-        generic_rank(path5, trials=2, seed=-1)
+        generic_rank(build_param_index(path5), trials=2, seed=-1)
 
 
 def test_rank_on_system_rejects_negative_seed(path5):
     with pytest.raises(ValueError, match="seed must be >= 0"):
-        rank_on_system(path5, SingularSystem(()), trials=2, seed=-1)
+        rank_on_system(build_param_index(path5), SingularSystem(()), trials=2, seed=-1)
 
 
 def test_latent_class_three_full_rank():
     m = star_model(3)
     idx = build_param_index(m)
     assert idx.p == 8
-    report = generic_rank(m, trials=20, seed=0)
+    report = generic_rank(idx, trials=20, seed=0)
     assert report.rank == 8  # 8 columns on 8 cells
 
 
@@ -187,17 +187,17 @@ def test_rank_invariant_under_column_permutation(triangle_pendants):
     rng = random.Random(0)
     entries = list(idx.entries)
     rng.shuffle(entries)
-    shuffled = ParamIndex(tuple(entries))
+    shuffled = ParamIndex(triangle_pendants, tuple(entries))
     beta = sample_beta(idx.p, [2, 0])
-    r1 = numeric_rank(jacobian(triangle_pendants, idx, beta)).rank
-    r2 = numeric_rank(jacobian(triangle_pendants, shuffled, beta)).rank
+    r1 = numeric_rank(jacobian(idx, beta)).rank
+    r2 = numeric_rank(jacobian(shuffled, beta)).rank
     assert r1 == r2 == 28
 
 
 def test_identified_models_full_rank_at_many_points(path5):
     idx = build_param_index(path5)
     assert classify(path5).status is Status.IDENTIFIED_EVERYWHERE
-    report = generic_rank(path5, trials=200, seed=1)
+    report = generic_rank(idx, trials=200, seed=1)
     assert report.unanimous and report.rank == idx.p
 
 
@@ -206,7 +206,7 @@ def test_verdict_agrees_with_numeric_rank(name):
     m = load_model(name)
     idx = build_param_index(m)
     verdict = classify(m)
-    report = generic_rank(m, trials=20, seed=0)
+    report = generic_rank(idx, trials=20, seed=0)
     if verdict.status is Status.NOT_IDENTIFIED:
         assert all(r < idx.p for r in report.trial_ranks)
     else:
@@ -218,12 +218,12 @@ def test_probe_only_five_cycle_generically_full_rank():
     verdict = classify(m)
     assert verdict.probe_only
     idx = build_param_index(m)
-    assert generic_rank(m, trials=30, seed=0).rank == idx.p == 22
+    assert generic_rank(idx, trials=30, seed=0).rank == idx.p == 22
 
 
 def test_rank_on_system_triangle_pendants(triangle_pendants):
     system = full_system(triangle_pendants)
-    report = rank_on_system(triangle_pendants, system, trials=50, seed=0)
+    report = rank_on_system(build_param_index(triangle_pendants), system, trials=50, seed=0)
     assert report.rank == 27
     assert report.unanimous
     assert report.gap is not None and report.gap >= 1e3
@@ -231,8 +231,9 @@ def test_rank_on_system_triangle_pendants(triangle_pendants):
 
 def test_rank_on_empty_system_matches_generic(triangle_pendants):
     empty = SingularSystem(())
-    on_empty = rank_on_system(triangle_pendants, empty, trials=10, seed=0)
-    plain = generic_rank(triangle_pendants, trials=10, seed=0)
+    idx = build_param_index(triangle_pendants)
+    on_empty = rank_on_system(idx, empty, trials=10, seed=0)
+    plain = generic_rank(idx, trials=10, seed=0)
     assert on_empty.rank == plain.rank
     assert on_empty.trial_ranks == plain.trial_ranks
 
@@ -241,7 +242,8 @@ def test_single_boundary_equation_rank_drop(k4_pendants):
     # one boundary hyperplane alone lowers the rank by two on this model
     system = full_system(k4_pendants)
     eq1 = [e for e in system.equations if e.render() == "b{0,5} + b{0,4,5} = 0"]
-    report = rank_on_system(k4_pendants, SingularSystem(tuple(eq1)), trials=30, seed=0)
+    idx = build_param_index(k4_pendants)
+    report = rank_on_system(idx, SingularSystem(tuple(eq1)), trials=30, seed=0)
     assert report.rank == 38
     assert report.unanimous
 
@@ -251,9 +253,9 @@ def test_jacobian_matches_mu_y_derivative(name):
     m = load_model(name)
     idx = build_param_index(m)
     beta = sample_beta(idx.p, [5, 0])
-    d = jacobian(m, idx, beta)
+    d = jacobian(idx, beta)
     assert d.shape == (m.table_size, idx.p)
-    fd = finite_difference_jacobian(m, idx, beta)
+    fd = finite_difference_jacobian(idx, beta)
     denom = np.linalg.norm(d)
     assert np.linalg.norm(d - fd) / denom < 1e-8
 
@@ -268,13 +270,13 @@ BITWISE_MODELS["triangle_pendants_levels234"] = LatentModel(
 def test_half_sum_equals_dense_marginalization_bitwise(name):
     m = BITWISE_MODELS[name]
     idx = build_param_index(m)
-    z = design_matrix(m, idx)
+    z = design_matrix(idx)
     l_mat = marginalization_matrix(m)
     for t in range(3):
         beta = sample_beta(idx.p, [9, t])
         w = np.exp(z @ beta)
-        assert np.array_equal(jacobian(m, idx, beta), l_mat @ (w[:, None] * z))
-        assert np.array_equal(mu_y(m, idx, beta), l_mat @ w)
+        assert np.array_equal(jacobian(idx, beta), l_mat @ (w[:, None] * z))
+        assert np.array_equal(mu_y(idx, beta), l_mat @ w)
 
 
 def test_jacobian_memory_linear_in_cells():
@@ -285,7 +287,7 @@ def test_jacobian_memory_linear_in_cells():
     design_bytes = 2 * m.table_size * idx.p * 8
     tracemalloc.start()
     try:
-        jacobian(m, idx, beta)
+        jacobian(idx, beta)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -299,11 +301,11 @@ def test_design_cache_keeps_only_the_latest_model():
         LatentModel.binary(Graph.from_edges(13, star + [edge])) for edge in [(1, 2), (3, 4), (5, 6)]
     ]
     indices = [build_param_index(m) for m in models]
-    largest_z = max(2 * m.table_size * idx.p * 8 for m, idx in zip(models, indices))
+    largest_z = max(2 * idx.model.table_size * idx.p * 8 for idx in indices)
     tracemalloc.start()
     try:
-        for m, idx in zip(models, indices):
-            jacobian(m, idx, sample_beta(idx.p, [0, 0]))
+        for idx in indices:
+            jacobian(idx, sample_beta(idx.p, [0, 0]))
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -350,7 +352,7 @@ def test_core_has_the_model_rank_deficit():
     for m in _deficit_models():
         core, ids = _core(m)
         full_idx = build_param_index(m)
-        core_idx = ParamIndex(build_param_index(core).entries, ids)
+        core_idx = ParamIndex(core, build_param_index(core).entries, ids)
         assert core_idx.names() == [e.name for e in full_idx.entries if set(e.nodes) <= set(ids)]
         assert core_idx.lookup.keys() <= full_idx.lookup.keys()
         cols = [full_idx.lookup[e] for e in core_idx.lookup]
@@ -374,8 +376,10 @@ def test_core_has_the_model_rank_deficit():
                     for eq in system.equations:
                         assert abs(sum(beta[cols][core_idx.lookup[t]] for t in eq.terms)) < 1e-12
         for beta in points:
-            full = numeric_rank(jacobian(m, full_idx, beta))
-            reduced = numeric_rank(jacobian(core, core_idx, beta[cols]))
+            full = numeric_rank(jacobian(full_idx, beta))
+            core_jacobian = jacobian(core_idx, beta[cols])
+            assert core_jacobian.shape == (core.table_size, core_idx.p)
+            reduced = numeric_rank(core_jacobian)
             assert not (full.ambiguous or reduced.ambiguous)
             assert full_idx.p - full.rank == core_idx.p - reduced.rank, m
         counts["t1"] += len(ids) < m.graph.node_count

@@ -261,7 +261,7 @@ def test_rank_on_system_rejects_a_coordinate_outside_the_index(path5, k4_pendant
     # k4_pendants' first equation is b{0,1} + b{0,1,4}, and {1, 4} is no edge of path5
     message = r"^coordinate b\{0,1,4\} is not in the parameter index$"
     with pytest.raises(InconsistentSystemError, match=message):
-        rank_on_system(path5, full_system(k4_pendants), trials=1, seed=0)
+        rank_on_system(build_param_index(path5), full_system(k4_pendants), trials=1, seed=0)
     # every equation is looked up before any is eliminated, so the missing
     # coordinate is named even after an equation that forces a zero
     forced_first = SingularSystem((_toy_equation((0, 2, 3)), _toy_equation((0, 1), (0, 1, 4))))
@@ -318,15 +318,15 @@ def test_rank_on_system_eliminates_once(monkeypatch, k4_pendants):
         calls.append(args)
         return original(*args)
 
-    def recorded(m, idx, beta):
+    def recorded(idx, beta):
         points.append(beta.tobytes())
-        return jacobian(m, idx, beta)
+        return jacobian(idx, beta)
 
     monkeypatch.setattr(numeric, "_eliminate", counted)
     monkeypatch.setattr(numeric, "jacobian", recorded)
     system = full_system(k4_pendants)
     idx = build_param_index(k4_pendants)
-    rank_on_system(k4_pendants, system, trials=5, seed=2, idx=idx)
+    rank_on_system(idx, system, trials=5, seed=2)
     assert len(calls) == 1
     # every trial's point is the one sample_on_subspace draws for its key
     assert points == [sample_on_subspace(system, idx, (2, t)).tobytes() for t in range(5)]
@@ -344,8 +344,8 @@ def test_multi_level_expansion_splits_per_level():
     }
     idx = build_param_index(m)
     assert idx.p == 32
-    assert generic_rank(m, trials=20, seed=0).rank == 32
-    on_sub = rank_on_system(m, system, trials=20, seed=0)
+    assert generic_rank(idx, trials=20, seed=0).rank == 32
+    on_sub = rank_on_system(idx, system, trials=20, seed=0)
     assert on_sub.rank == 31
     assert on_sub.unanimous
 
@@ -355,8 +355,9 @@ def test_multi_level_shared_lowest_column_drops_rank():
     base = load_model("triangle_pendants")
     m = LatentModel(base.graph, (2, 2, 2, 2, 2, 3, 2))
     system = full_system(m)
-    assert generic_rank(m, trials=20, seed=0).rank == build_param_index(m).p == 38
-    on_sub = rank_on_system(m, system, trials=20, seed=0)
+    idx = build_param_index(m)
+    assert generic_rank(idx, trials=20, seed=0).rank == idx.p == 38
+    on_sub = rank_on_system(idx, system, trials=20, seed=0)
     assert on_sub.rank < 38
     assert on_sub.unanimous
 
@@ -368,8 +369,8 @@ def test_t1_extension_keeps_s_restricted_system(triangle_pendants):
     assert verdict.t1_nodes == frozenset({7})
     assert {e.render() for e in verdict.singular_system.equations} == TRIANGLE_PENDANTS_SYSTEM
     idx = build_param_index(m)
-    assert generic_rank(m, trials=20, seed=0).rank == idx.p == 30
-    assert rank_on_system(m, verdict.singular_system, trials=20, seed=0).rank == 29
+    assert generic_rank(idx, trials=20, seed=0).rank == idx.p == 30
+    assert rank_on_system(idx, verdict.singular_system, trials=20, seed=0).rank == 29
 
 
 # sha256 over each equation's text, first term's name and source, for every
@@ -524,7 +525,7 @@ def test_exhaustive_shared_column_systems_drop_rank():
         for t in range(3):
             beta = sample_on_subspace(system, idx, (0, t))
             _assert_on_system(beta, system, idx)
-            assert numeric_rank(jacobian(m, idx, beta)).rank < idx.p
+            assert numeric_rank(jacobian(idx, beta)).rank < idx.p
 
 
 def test_exhaustive_forced_zero_systems_raise():
