@@ -32,9 +32,7 @@ from .errors import (
 )
 from .graph import Graph, _bits
 from .identify import Status, Verdict, classify
-from .loglinear import (
-    LatentModel, ParamIndex, _core, build_param_index, design_cells, param_count,
-)
+from .loglinear import LatentModel, ParamIndex, _core, build_param_index, param_count
 from .numeric import RankReport, generic_rank, jacobian, numeric_rank, rank_on_system, sample_beta
 from .singular import SingularSystem, full_system
 
@@ -246,9 +244,7 @@ def cmd_verify(path: str, trials: int = 50, seed: int = 0) -> int:
     m = parse_model(path)
     verdict = classify(m)
     # The ranks are taken on the core, which has the model's rank deficit (see _core).
-    core, ids = _core(m)
-    design_cells(core, param_count(core))  # refuses an oversized design before the index is built
-    idx = ParamIndex(core, build_param_index(core).entries, ids)
+    idx = _core(m)
     generic = generic_rank(idx, trials=trials, seed=seed)
     on_system = None
     if verdict.singular_system is not None:
@@ -276,7 +272,7 @@ def cmd_verify(path: str, trials: int = 50, seed: int = 0) -> int:
         "command": "verify",
         "model": _model_block(m, path),
         "p": param_count(m),
-        "core": {"nodes": list(ids), "p": idx.p},
+        "core": {"nodes": list(idx.node_ids), "p": idx.p},
         "trials": trials,
         "seed": seed,
         "verdict": _verdict_block(verdict),
@@ -308,7 +304,6 @@ def _load_beta(path: str, idx: ParamIndex) -> np.ndarray:
 def cmd_rank(path: str, beta_path: str | None = None, seed: int = 0) -> int:
     _check_seed(seed)
     m = parse_model(path)
-    design_cells(m, param_count(m))  # refuses an oversized design before the index is built
     idx = build_param_index(m)
     if beta_path is not None:
         beta = _load_beta(beta_path, idx)

@@ -5,8 +5,8 @@ level combination, corner-point coding) and the 0/1 design matrix mapping
 parameters to log expected cell counts.  Summing out the hidden variable is the
 sum of the two hidden-level halves of a cell vector; `marginalization_matrix`
 spells that sum out as the dense matrix L = [I I] for tests only.  `_core`
-gives the model induced on the hidden node and its neighbours, whose Jacobian
-has the model's rank deficit.
+gives the index of the model induced on the hidden node and its neighbours,
+whose Jacobian has the model's rank deficit.
 
 Cell stacking convention: the hidden variable A0 changes slowest, then A1, down
 to An changing fastest (row-major order over (2, l1, ..., ln)).
@@ -93,9 +93,10 @@ class ParamEntry:
 
 @dataclass(frozen=True)
 class ParamIndex:
-    """The model whose parameters these are, its ordered coordinates and a
-    coordinate -> column lookup.  The numeric layer takes the index alone: the
-    model fixes the design's cells and the Jacobian's row count.
+    """The model whose parameters these are, its ordered coordinates, a
+    coordinate -> column lookup and the design matrix.  The numeric layer takes
+    the index alone: the model fixes the design's cells and the Jacobian's row
+    count, and `design` is built on first use and freed with the index.
 
     The index of a model's core (`_core`) holds the core model, the core's ids
     in its entries and the model id of each core node in `node_ids`; `lookup`
@@ -114,6 +115,10 @@ class ParamIndex:
             entries = (ParamEntry(tuple(ids[v] for v in e.nodes), e.levels) for e in entries)
         return {e: j for j, e in enumerate(entries)}
 
+    @cached_property
+    def design(self) -> np.ndarray:
+        return design_matrix(self)
+
     @property
     def p(self) -> int:
         return len(self.entries)
@@ -127,8 +132,11 @@ def build_param_index(m: LatentModel) -> ParamIndex:
 
     Deterministic order: by subset size, then lexicographically on the subset,
     then lexicographically on the level combination.  The total column count is
-    sum over complete subsets I of prod_{v in I} (levels[v] - 1).
+    sum over complete subsets I of prod_{v in I} (levels[v] - 1).  Raises
+    ValidationError, before it lists any entry, when numpy cannot allocate the
+    design matrix (`_design_cells`).
     """
+    _design_cells(m, param_count(m))
     subsets = [(), *(tuple(_bits(c)) for c in _complete_masks(m.graph))]
     entries: list[ParamEntry] = []
     for nodes in subsets:
@@ -160,10 +168,10 @@ def param_count(m: LatentModel) -> int:
     return p
 
 
-def _core(m: LatentModel) -> tuple[LatentModel, tuple[int, ...]]:
-    """The core of m: the model induced on {0} | S, S the hidden node's
-    neighbours, with the same levels; and the model id of each core node, in
-    ascending order.
+def _core(m: LatentModel) -> ParamIndex:
+    """The index of m's core: the model induced on {0} | S, S the hidden node's
+    neighbours, with the same levels; its entries; and in `node_ids` the model
+    id of each core node, in ascending order.
 
     The Jacobian has the same rank deficit p - rank on the core as on m, at
     every point whose coordinates holding the hidden node agree.
@@ -188,10 +196,11 @@ def _core(m: LatentModel) -> tuple[LatentModel, tuple[int, ...]]:
     the same for both.
     """
     g, ids = induced_subgraph(m.graph, [LATENT, *_bits(m.graph.adj[LATENT])])
-    return LatentModel(g, tuple(m.levels[v] for v in ids)), ids
+    core = LatentModel(g, tuple(m.levels[v] for v in ids))
+    return ParamIndex(core, build_param_index(core).entries, ids)
 
 
-def design_cells(m: LatentModel, p: int) -> np.ndarray:
+def _design_cells(m: LatentModel, p: int) -> np.ndarray:
     """The zeroed (2, l1, ..., ln, p) cell array of the design matrix; raises
     ValidationError naming the shape (2l, p) when numpy cannot allocate it."""
     try:
@@ -207,10 +216,10 @@ def design_matrix(idx: ParamIndex) -> np.ndarray:
 
     Entry (cell, (I, combo)) is 1 iff the cell's level of every v in I equals
     the combo's level for v; the empty-set column is all ones.  Column j is
-    filled as one grid slice of the `design_cells` array: the axes of the nodes
+    filled as one grid slice of the `_design_cells` array: the axes of the nodes
     in I are fixed at the combo's levels, every other axis is free.
     """
-    z = design_cells(idx.model, idx.p)
+    z = _design_cells(idx.model, idx.p)
     for j, e in enumerate(idx.entries):
         cell: list = [slice(None)] * (z.ndim - 1)
         for v, level in zip(e.nodes, e.levels):

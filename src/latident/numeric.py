@@ -3,8 +3,9 @@
 The Jacobian of the observed-table mean vector with respect to the log-linear
 parameters is L diag(exp(Z beta)) Z; its column rank at a point decides local
 identifiability there.  Every function here takes the parametrization as one
-`ParamIndex`, which carries its model: the full model, or for `verify` the
-core.  L sums out the hidden variable.  It is applied as the sum of the two
+`ParamIndex`, which carries its model (the full model, or for `verify` the
+core) and its design matrix Z (`idx.design`, built once per index and freed
+with it).  L sums out the hidden variable.  It is applied as the sum of the two
 hidden-level halves (rows 0..l-1 and l..2l-1 of the cell stacking) and never
 formed: every entry of the dense product is that same two-term sum plus exact
 zeros, so the result is bitwise the same.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -35,7 +36,7 @@ from .errors import (
     InconsistentSystemError,
     ValidationError,
 )
-from .loglinear import ParamIndex, design_matrix
+from .loglinear import ParamIndex
 
 SAFE_EXPONENT = 700.0
 GAP_RULE = 1.0e3
@@ -118,11 +119,6 @@ def _sample(rows: list[list[tuple[int, int]]], p: int, seed) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=1)  # verify and rank reuse only the current index's Z
-def _design(idx: ParamIndex) -> np.ndarray:
-    return design_matrix(idx)
-
-
 def _cell_means(idx: ParamIndex, beta: NDArray) -> tuple[np.ndarray, NDArray[np.float64]]:
     """Design matrix Z of idx's model and the full-table mean vector exp(Z beta)."""
     beta = np.asarray(beta, dtype=float)
@@ -132,7 +128,7 @@ def _cell_means(idx: ParamIndex, beta: NDArray) -> tuple[np.ndarray, NDArray[np.
         )
     if not np.all(np.isfinite(beta)):
         raise ValidationError("beta has non-finite coordinates")
-    z = _design(idx)
+    z = idx.design
     eta = z @ beta
     if np.max(np.abs(eta)) > SAFE_EXPONENT:
         raise ExponentOverflowError("linear predictor exceeds the safe exponent range")

@@ -677,17 +677,22 @@ def test_rank_rejects_oversized_design_matrix(tmp_path, capsys, n):
 @pytest.mark.parametrize("command", ["verify", "rank"])
 def test_oversized_design_is_refused_before_the_index(tmp_path, capsys, monkeypatch, command):
     # K3 with two 800-level nodes: p = 2 * 800 * 800 entries, which the index
-    # would build (seconds, hundreds of MB) before the design matrix is refused
+    # would list (seconds, hundreds of MB) before the design matrix is refused;
+    # build_param_index refuses the design before it lists the complete subsets
     path = tmp_path / "k3_800.model"
     path.write_text("nodes 3\nlevels 1=800\nlevels 2=800\nedge 0 1\nedge 0 2\nedge 1 2\n")
 
-    def no_index(m):
-        raise AssertionError("the parameter index was built")
+    def no_listing(g):
+        raise AssertionError("the parameter index entries were listed")
 
-    monkeypatch.setattr("latident.cli.build_param_index", no_index)
+    monkeypatch.setattr("latident.loglinear._complete_masks", no_listing)
+    message = "design matrix of shape (1280000, 1280000) is too large"
     code, out, err = run_cli(capsys, command, str(path))
     assert (code, out) == (1, "")
-    assert err == "error: design matrix of shape (1280000, 1280000) is too large\n"
+    assert err == f"error: {message}\n"
+    with pytest.raises(ValidationError) as exc:
+        build_param_index(parse_model(str(path)))
+    assert str(exc.value) == message
 
 
 def test_non_utf8_model_file_is_a_parse_error(tmp_path, capsys):

@@ -355,7 +355,7 @@ def test_classify_is_invariant_under_relabelling_and_t1_nodes():
         assert (t1_verdict.status, t1_verdict.failing_sets) == (
             verdict.status, verdict.failing_sets
         ), g.edges
-        assert param_count(_core(with_t1)[0]) == param_count(_core(LatentModel.binary(g))[0])
+        assert param_count(_core(with_t1).model) == param_count(_core(LatentModel.binary(g)).model)
         seen += 1
     assert seen == 1023
 

@@ -30,7 +30,7 @@ from latident import (
 )
 
 from latident import numeric
-from latident.loglinear import _core
+from latident.loglinear import _core, param_count
 from latident.singular import sample_on_subspace
 
 from conftest import (
@@ -294,22 +294,24 @@ def test_jacobian_memory_linear_in_cells():
     assert peak < 4 * design_bytes
 
 
-def test_design_cache_keeps_only_the_latest_model():
-    # four different 12-observed-node models; only the last design matrix stays alive
+def test_design_lives_only_as_long_as_its_index():
+    # four different 12-observed-node models, each index dropped after its
+    # Jacobian: no design matrix outlives its index
     star = [(0, v) for v in range(1, 13)]
     models = [star_model(12)] + [
         LatentModel.binary(Graph.from_edges(13, star + [edge])) for edge in [(1, 2), (3, 4), (5, 6)]
     ]
-    indices = [build_param_index(m) for m in models]
-    largest_z = max(2 * idx.model.table_size * idx.p * 8 for idx in indices)
+    largest_z = max(2 * m.table_size * param_count(m) * 8 for m in models)
     tracemalloc.start()
     try:
-        for idx in indices:
+        for m in models:
+            idx = build_param_index(m)
             jacobian(idx, sample_beta(idx.p, [0, 0]))
+            del idx
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert current < 2 * largest_z
+    assert current < largest_z
 
 
 def _deficit_models():
@@ -350,9 +352,9 @@ def test_core_has_the_model_rank_deficit():
     # keys its columns in model ids, so it reads the verdict's system as it is
     counts = {"t1": 0, "multi_level": 0, "on_system": 0, "forced_zero": 0}
     for m in _deficit_models():
-        core, ids = _core(m)
+        core_idx = _core(m)
+        core, ids = core_idx.model, core_idx.node_ids
         full_idx = build_param_index(m)
-        core_idx = ParamIndex(core, build_param_index(core).entries, ids)
         assert core_idx.names() == [e.name for e in full_idx.entries if set(e.nodes) <= set(ids)]
         assert core_idx.lookup.keys() <= full_idx.lookup.keys()
         cols = [full_idx.lookup[e] for e in core_idx.lookup]
