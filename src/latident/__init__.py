@@ -15,7 +15,6 @@ from .errors import (
 from .graph import (
     Graph,
     complement,
-    complete_subsets,
     connected_components,
     induced_subgraph,
     maximal_cliques,
@@ -26,7 +25,6 @@ from .identify import (
     Verdict,
     classify,
     find_generalized_sequence,
-    find_identifying_sequence,
     latent_partition,
 )
 from .loglinear import (
@@ -35,7 +33,6 @@ from .loglinear import (
     ParamIndex,
     build_param_index,
     design_matrix,
-    marginalization_matrix,
 )
 from .numeric import (
     RankReport,
@@ -50,11 +47,11 @@ from .singular import (
     SingularEquation,
     SingularSystem,
     full_system,
-    locus_equations_for_set,
-    sample_on_subspace,
 )
 from .cli import parse_model
 
+# No production path calls complete_subsets, find_identifying_sequence, marginalization_matrix,
+# locus_equations_for_set or sample_on_subspace: tests and perfbench import them from their modules.
 __all__ = [
     "DimensionMismatchError",
     "ExponentOverflowError",
@@ -77,23 +74,18 @@ __all__ = [
     "build_param_index",
     "classify",
     "complement",
-    "complete_subsets",
     "connected_components",
     "design_matrix",
     "find_generalized_sequence",
-    "find_identifying_sequence",
     "full_system",
     "generic_rank",
     "induced_subgraph",
     "jacobian",
     "latent_partition",
-    "locus_equations_for_set",
-    "marginalization_matrix",
     "maximal_cliques",
     "mu_y",
     "numeric_rank",
     "parse_model",
     "rank_on_system",
     "sample_beta",
-    "sample_on_subspace",
 ]

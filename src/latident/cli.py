@@ -184,7 +184,7 @@ def _write_system(write, system: SingularSystem) -> None:
     sep = "\n"
     for eq in equations:
         write(
-            f'{sep}      {{\n        "designated": "{coords.name(eq.v0)}",\n'
+            f'{sep}      {{\n        "designated": "{coords.entry(eq.v0).name}",\n'
             f'        "anchored": {anchored_list(eq.anchored)},\n'
             f'        "source_kind": "boundary",\n'
             f'        "source_set": {source_list(eq.source_set)},\n'
@@ -194,7 +194,6 @@ def _write_system(write, system: SingularSystem) -> None:
     write("\n    ]\n  }" if equations else "]\n  }")
 
 
-_INDENTED = json.JSONEncoder(indent=2)  # the encoder json.dumps(..., indent=2) builds per call
 # The singular_system key as the report's text has it.  A JSON string escapes
 # its quotes and newlines, so this text can be nothing but that key.
 _SYSTEM_KEY = '\n  "singular_system": '
@@ -208,7 +207,7 @@ def _emit(report: dict) -> None:
     equations.
     """
     system = report.get("singular_system")
-    text = _INDENTED.encode({**report, "singular_system": None} if system else report)
+    text = json.dumps({**report, "singular_system": None} if system else report, indent=2)
     write = sys.stdout.write
     if system:
         head, text = text.split(_SYSTEM_KEY + "null")

@@ -30,9 +30,9 @@ class NotApplicableError(LatidentError):
 class InconsistentSystemError(LatidentError):
     """A singular system has no sampled point with every coordinate nonzero.
 
-    A coordinate is not in the parameter index, elimination reduces an equation
-    to a single coordinate (which is then forced to zero), or every draw leaves
-    a solved coordinate within 1e-6 of zero.
+    A coordinate is not in the parameter index, the equations force a coordinate
+    to zero (elimination names it, also one found only by back-substitution), or
+    every draw leaves a solved coordinate within 1e-6 of zero.
     """
 
 

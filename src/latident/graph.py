@@ -9,7 +9,7 @@ maximal cliques lazily in lexicographic order; internally everything is bitmasks
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator
 
 NodeSet = frozenset[int]
@@ -170,11 +170,10 @@ def _complete_within(adj: tuple[int, ...], within: int) -> list[int]:
     return found
 
 
-@lru_cache(maxsize=4096)
 def _complete_masks(g: Graph) -> tuple[int, ...]:
     """Bitmask of every nonempty complete subset, ordered by size, then
-    lexicographically.  Each graph is enumerated once; every consumer reads
-    this tuple."""
+    lexicographically.  Each caller enumerates g once per call; `identify`
+    keeps G_S's sets as the keys of `_neighborhoods`."""
     return tuple(_complete_within(g.adj, (1 << g.node_count) - 1))
 
 

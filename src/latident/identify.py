@@ -60,10 +60,6 @@ class SequenceCert:
     chain: tuple[NodeSet, ...]
     kind: str
 
-    @property
-    def target(self) -> NodeSet:
-        return self.chain[0]
-
     def relabeled(self, mapping: Mapping[int, int] | Sequence[int]) -> "SequenceCert":
         return SequenceCert(tuple(frozenset(mapping[v] for v in s) for s in self.chain), self.kind)
 
@@ -212,7 +208,7 @@ def _failing_masks(g: Graph) -> list[int]:
     """Complete sets of size >= 2 with no plain identifying sequence, in
     (size, lexicographic) order: the sets that carry boundary equations."""
     plain_ok = _plain_ok(g)
-    return [c for c in _complete_masks(g) if c.bit_count() > 1 and c not in plain_ok]
+    return [c for c in _neighborhoods(g) if c.bit_count() > 1 and c not in plain_ok]
 
 
 def find_generalized_sequence(g_s: Graph, c0: NodeSet) -> SequenceCert | None:

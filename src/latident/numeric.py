@@ -72,13 +72,23 @@ def sample_beta(p: int, seed) -> NDArray[np.float64]:
     return signs * magnitudes
 
 
+def _cancel(row: dict[int, int], piv: dict[int, int], d: int) -> dict[int, int]:
+    """piv[d] * row - row[d] * piv, exact in Python ints, less its zeros: column d cancels."""
+    a, b = piv[d], row[d]
+    combined = ((c, a * row.get(c, 0) - b * piv.get(c, 0)) for c in sorted(row | piv))
+    return {c: x for c, x in combined if x}
+
+
 def _eliminate(sys, idx: ParamIndex) -> list[list[tuple[int, int]]]:
     """The singular system's rows in echelon form, as (column, coefficient)
     pairs in column order, the rows by pivot column descending.
 
     Each row's lowest column is eliminated against the row pivoting on it,
     until the row is empty (dependent, dropped) or its lowest column is a new
-    pivot.  A row elimination never touched keeps every coefficient 1.
+    pivot.  A row elimination never touched keeps every coefficient 1.  Then,
+    on a copy, each row, highest pivot first, has every higher pivot column
+    eliminated: a row left with its pivot alone forces that coordinate to zero,
+    and no other coordinate is forced to zero.
     """
     try:  # each equation's terms are read once, all looked up before any elimination
         rows = [dict.fromkeys(sorted(idx.lookup[t] for t in eq.terms), 1) for eq in sys.equations]
@@ -88,15 +98,20 @@ def _eliminate(sys, idx: ParamIndex) -> list[list[tuple[int, int]]]:
     pivots: dict[int, dict[int, int]] = {}  # lowest column -> its row, columns ascending
     for row in rows:
         while row and (d := next(iter(row))) in pivots:
-            piv = pivots[d]
-            a, b = piv[d], row[d]  # a * row - b * piv, exact in Python ints
-            combined = ((c, a * row.get(c, 0) - b * piv.get(c, 0)) for c in sorted(row | piv))
-            row = {c: x for c, x in combined if x}
+            row = _cancel(row, pivots[d], d)
         if len(row) == 1:
             raise InconsistentSystemError(f"the equations force {idx.names()[d]} to zero")
         if row:
             pivots[d] = row
-    return [list(pivots[d].items()) for d in sorted(pivots, reverse=True)]
+    reduced: dict[int, dict[int, int]] = {}  # pivot -> its row with no other pivot, highest first
+    for d in sorted(pivots, reverse=True):
+        row = pivots[d]
+        for c in [c for c in row if c in reduced]:
+            row = _cancel(row, reduced[c], c)
+        if len(row) == 1:
+            raise InconsistentSystemError(f"the equations force {idx.names()[d]} to zero")
+        reduced[d] = row
+    return [list(pivots[d].items()) for d in reduced]
 
 
 def _sample(rows: list[list[tuple[int, int]]], p: int, seed) -> np.ndarray:

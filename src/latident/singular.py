@@ -49,8 +49,8 @@ from .numeric import _eliminate, _sample
 
 @dataclass(frozen=True)
 class _Coordinates:
-    """A system's coordinate table: `entry` and `name` map a slot mask of G_S
-    to its ParamEntry and its name, and `subsets` an anchored mask to its
+    """A system's coordinate table: `entry` maps a slot mask of G_S to its
+    ParamEntry, which keeps its name, and `subsets` an anchored mask to its
     subsets, each built on first lookup and kept as long as the table.  `token`
     gives one slot's node and level as a name writes them.
 
@@ -62,9 +62,7 @@ class _Coordinates:
     width: int
 
     def __post_init__(self):
-        entry = cache(self._entry)
-        object.__setattr__(self, "entry", entry)
-        object.__setattr__(self, "name", cache(lambda slots: entry(slots).name))
+        object.__setattr__(self, "entry", cache(self._entry))
         object.__setattr__(self, "subsets", cache(_subsets))
 
     def token(self, slot: int) -> str:
@@ -112,7 +110,7 @@ class SingularEquation:
     @property
     def names(self) -> list[str]:
         """The terms' names, in column order."""
-        return list(map(self.coords.name, self._slots()))
+        return [self.coords.entry(s).name for s in self._slots()]
 
     def render(self) -> str:
         return " + ".join(self.names) + " = 0"
@@ -264,8 +262,8 @@ def sample_on_subspace(sys: SingularSystem, idx: ParamIndex, seed) -> np.ndarray
     """A parameter point with all coordinates nonzero satisfying every equation:
     the oracle's draw (`numeric._sample`) on the echelon rows of one exact
     integer elimination (`numeric._eliminate`).  Free coordinates follow the
-    standard sampling law.  Raises InconsistentSystemError when a row reduces
-    to one column, which forces that coordinate to zero; resamples, up to a
-    cap, whenever a solved coordinate lands within 1e-6 of zero.
+    standard sampling law.  Raises InconsistentSystemError when the equations
+    force a coordinate to zero; resamples, up to a cap, whenever a solved
+    coordinate lands within 1e-6 of zero.
     """
     return _sample(_eliminate(sys, idx), idx.p, seed)

@@ -17,9 +17,7 @@ from latident import (
     Status,
     build_param_index,
     classify,
-    complete_subsets,
     design_matrix,
-    find_identifying_sequence,
     full_system,
     generic_rank,
     induced_subgraph,
@@ -30,8 +28,8 @@ from latident import (
     rank_on_system,
     sample_beta,
 )
-from latident.graph import _mask_of
-from latident.identify import _complete_masks, _generalized_ok, _plain_ok
+from latident.graph import _mask_of, complete_subsets
+from latident.identify import _generalized_ok, _plain_ok, find_identifying_sequence
 
 from conftest import FIXTURE_NAMES, load_model, star_model
 
@@ -234,7 +232,6 @@ def test_criterion_07_sequence_equivalence_exhaustive():
                 if checked % 5000 == 0:
                     _generalized_ok.cache_clear()
                     _plain_ok.cache_clear()
-                    _complete_masks.cache_clear()
         assert checked == 27476
 
 

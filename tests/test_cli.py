@@ -802,27 +802,27 @@ def test_memory_error_is_an_error_line(monkeypatch, capsys, command):
 
 def test_memory_error_mid_report_leaves_a_prefix(monkeypatch, capsys):
     # the report is streamed, so what was written before the MemoryError stays
-    # on stdout: a reader checks the exit code before parsing.  The writer
-    # looks up one name per equation, its designated coordinate's.
+    # on stdout: a reader checks the exit code before parsing.  The writer's
+    # second coordinate lookup is the first equation's boundary subset.
     from latident.singular import _Coordinates
 
     _, full, _ = run_cli(capsys, "classify", model_path("k4_pendants"))
     calls = []
     post_init = _Coordinates.__post_init__
 
-    def second_name_fails(coords):
+    def second_entry_fails(coords):
         post_init(coords)
-        name = coords.name
+        entry = coords.entry
 
         def lookup(slots):
             calls.append(slots)
             if len(calls) == 2:
                 raise MemoryError
-            return name(slots)
+            return entry(slots)
 
-        object.__setattr__(coords, "name", lookup)
+        object.__setattr__(coords, "entry", lookup)
 
-    monkeypatch.setattr(_Coordinates, "__post_init__", second_name_fails)
+    monkeypatch.setattr(_Coordinates, "__post_init__", second_entry_fails)
     code, out, err = run_cli(capsys, "classify", model_path("k4_pendants"))
     assert code == 1
     assert err == "error: out of memory in the classify command\n"

@@ -6,13 +6,12 @@ import pytest
 from latident import (
     Graph,
     complement,
-    complete_subsets,
     connected_components,
     find_generalized_sequence,
     induced_subgraph,
     maximal_cliques,
 )
-from latident.graph import _complete_masks, _complete_within, _set_of
+from latident.graph import _complete_masks, _complete_within, _set_of, complete_subsets
 
 PATH5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 

@@ -18,13 +18,11 @@ from latident import (
     complement,
     connected_components,
     find_generalized_sequence,
-    find_identifying_sequence,
     induced_subgraph,
     latent_partition,
     maximal_cliques,
-    complete_subsets,
 )
-from latident.graph import _bits, _mask_of, _set_of
+from latident.graph import _bits, _mask_of, _set_of, complete_subsets
 from latident.loglinear import _core, param_count
 from latident.identify import (
     _complete_masks,
@@ -32,6 +30,7 @@ from latident.identify import (
     _generalized_ok,
     _neighborhoods,
     _plain_ok,
+    find_identifying_sequence,
 )
 
 from conftest import (
@@ -216,21 +215,27 @@ def test_classify_latent_isolated_propagates():
 
 
 def test_classify_enumerates_complete_subsets_once(monkeypatch):
-    # every consumer reads the cached masks; none enumerates through complete_subsets
-    calls = []
+    # every consumer reads the sets that _neighborhoods keeps; none enumerates
+    # them again or through complete_subsets
+    calls, enumerated = [], []
     original = complete_subsets
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
+    def counted_masks(g):
+        enumerated.append(g)
+        return _complete_masks(g)
+
     for name, module in list(sys.modules.items()):
         if name.startswith("latident") and getattr(module, "complete_subsets", None) is original:
             monkeypatch.setattr(module, "complete_subsets", counted)
-    _complete_masks.cache_clear()
+    monkeypatch.setattr("latident.identify._complete_masks", counted_masks)
+    _neighborhoods.cache_clear()
     verdict = classify(dense_model(10))
     assert len(verdict.failing_sets) > 100
-    assert _complete_masks.cache_info().misses == 1
+    assert len(enumerated) == 1
     assert calls == []
 
 
@@ -491,7 +496,7 @@ def test_sequence_certificates_match_pinned_digest():
             for _, find in SEARCHES:
                 cert = find(g, _set_of(c))
                 if cert is not None:
-                    cert = (sorted(cert.target), [sorted(s) for s in cert.chain], cert.kind)
+                    cert = (sorted(cert.chain[0]), [sorted(s) for s in cert.chain], cert.kind)
                 h.update(repr(cert).encode())
     assert h.hexdigest() == "d6d7d9af81051eb646889bb280789a297c3b9c38d712ca76af247741397e0178"
 

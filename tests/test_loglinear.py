@@ -13,11 +13,10 @@ from latident import (
     ValidationError,
     build_param_index,
     design_matrix,
-    marginalization_matrix,
     numeric_rank,
 )
 
-from latident.loglinear import param_count
+from latident.loglinear import marginalization_matrix, param_count
 
 from conftest import (
     FIXTURE_NAMES, complete_model, hidden_over_all_graphs, load_model, t1_clique_model,

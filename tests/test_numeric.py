@@ -22,7 +22,6 @@ from latident import (
     full_system,
     generic_rank,
     jacobian,
-    marginalization_matrix,
     mu_y,
     numeric_rank,
     rank_on_system,
@@ -30,7 +29,7 @@ from latident import (
 )
 
 from latident import numeric
-from latident.loglinear import _core, param_count
+from latident.loglinear import _core, marginalization_matrix, param_count
 from latident.singular import sample_on_subspace
 
 from conftest import (

@@ -16,14 +16,13 @@ from latident import (
     full_system,
     generic_rank,
     jacobian,
-    locus_equations_for_set,
     numeric_rank,
     rank_on_system,
-    sample_on_subspace,
 )
 from latident import singular
 from latident.cli import main
 from latident.loglinear import ParamEntry
+from latident.singular import locus_equations_for_set, sample_on_subspace
 
 from conftest import (
     FIXTURE_NAMES, dense_model, five_cycle_model, hidden_over_all_graphs, load_model, model_text,
@@ -248,6 +247,9 @@ def test_sample_on_subspace_eliminates_a_shared_lowest_column(path5):
         ([[(0, 2, 3)]], r"b\{0,2,3\}"),
         # b{0,1} + b{0,1,2} + b{0,2} minus the first equation leaves b{0,2}
         ([[(0, 1), (0, 1, 2)], [(0, 1), (0, 1, 2), (0, 2)]], r"b\{0,2\}"),
+        # both rows pivot on a column of their own; only back-substituting the
+        # second into the first leaves b{0,1} alone
+        ([[(0, 1), (0, 2), (0, 3)], [(0, 2), (0, 3)]], r"b\{0,1\}"),
     ],
 )
 def test_sample_on_subspace_rejects_a_forced_zero(path5, term_lists, name):
