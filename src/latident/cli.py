@@ -11,9 +11,10 @@ Reports go to stdout as JSON; diagnostics to stderr, where a malformed command
 line gets USAGE and a `latident: error:` line.  Exit codes for classify/verify:
 0 identified everywhere, 2 generically identified, 3 not identified, 1 any error.
 
-A report is written as it is produced, with the bytes json.dumps(report,
-indent=2) would give: the small blocks go through the encoder in one pass and
-the singular system is written one equation at a time as its generator, the
+A report is written as it is produced, one top-level key at a time, with the
+bytes json.dumps(report, indent=2) would give; json runs its pure-Python
+encoder whenever it indents, so `_json` writes the small blocks instead.  The
+singular system is written one equation at a time as its generator, the
 designated coordinate and the anchored tokens (schema 3), so a report grows
 with the equation count, not the term count.  Only locus expands the terms.
 """
@@ -60,6 +61,7 @@ def parse_model(source: str | IO[str]) -> LatentModel:
             text = source.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"byte {exc.start}: not valid UTF-8") from None
+    text = text.removeprefix("\ufeff")  # a byte order mark, as some editors write
     node_count: int | None = None
     levels: dict[int, int] = {}
     edges: set[tuple[int, int]] = set()
@@ -158,11 +160,30 @@ def _model_block(m: LatentModel, path: str) -> dict:
     }
 
 
-def _json_list(items) -> str:
-    """Texts of JSON values as json.dumps(..., indent=2) lists them as the value
-    of an equation's key."""
-    text = ",\n".join(f"          {item}" for item in items)
-    return f"[\n{text}\n        ]" if text else "[]"
+def _json_list(texts: list[str], pad: str) -> str:
+    """A list of JSON texts as json.dumps(..., indent=2) writes it at indent pad."""
+    inner = f",\n{pad}  "
+    return f"[\n{pad}  {inner.join(texts)}\n{pad}]" if texts else "[]"
+
+
+def _json(value, pad: str) -> str:
+    """The text json.dumps(..., indent=2) gives value at indent pad."""
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):  # json's spellings of inf, -inf and nan
+        text = float.__repr__(value)
+        return {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}.get(text, text)
+    if isinstance(value, str):
+        return json.dumps(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join(f"{inner}{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items())
+        return f"{{\n{items}\n{pad}}}"
+    return _json_list([_json(v, inner) for v in value], pad)
 
 
 def _write_system(write, system: SingularSystem) -> None:
@@ -172,48 +193,41 @@ def _write_system(write, system: SingularSystem) -> None:
     Each equation is written as its generator: the designated coordinate
     {0} | V0 and the anchored slots' tokens, read through the system's one
     coordinate table, so no term beyond the first is built.  A name's or a
-    token's JSON string is itself in quotes (see ParamEntry.name).  Each
-    distinct anchored mask, source set and boundary subset is encoded once.
+    token's JSON string is itself in quotes (see ParamEntry.name).  The text
+    before the anchored list and after the source set depends on V0 alone, so
+    it is built once per V0, as each anchored and source list is once per mask.
     """
     equations = system.equations
     coords = equations[0].coords if equations else None
-    source_list = cache(lambda ns: _json_list(sorted(ns)))
-    anchored_list = cache(lambda slots: _json_list(f'"{coords.token(s)}"' for s in _bits(slots)))
-    boundary_list = cache(lambda v0: _json_list(coords.entry(v0).nodes[1:]))
+    pad = " " * 8
+    head = cache(lambda v0: f'      {{\n        "designated": "{coords.entry(v0).name}",\n'
+                            '        "anchored": ')
+    tail = cache(lambda v0: ',\n        "source_boundary_subset": '
+                            f"{_json_list(list(map(str, coords.entry(v0).nodes[1:])), pad)}\n      }}")
+    anchored_list = cache(lambda slots: _json_list([f'"{coords.token(s)}"' for s in _bits(slots)], pad))
+    source_list = cache(lambda ns: _json_list(list(map(str, sorted(ns))), pad))
+    middle = ',\n        "source_kind": "boundary",\n        "source_set": '
     write(f'{{\n    "equation_count": {len(equations)},\n    "equations": [')
     sep = "\n"
-    for eq in equations:
-        write(
-            f'{sep}      {{\n        "designated": "{coords.entry(eq.v0).name}",\n'
-            f'        "anchored": {anchored_list(eq.anchored)},\n'
-            f'        "source_kind": "boundary",\n'
-            f'        "source_set": {source_list(eq.source_set)},\n'
-            f'        "source_boundary_subset": {boundary_list(eq.v0)}\n      }}'
-        )
+    for v0, anchored, source_set, _ in equations:
+        write(sep + head(v0) + anchored_list(anchored) + middle + source_list(source_set) + tail(v0))
         sep = ",\n"
     write("\n    ]\n  }" if equations else "]\n  }")
 
 
-# The singular_system key as the report's text has it.  A JSON string escapes
-# its quotes and newlines, so this text can be nothing but that key.
-_SYSTEM_KEY = '\n  "singular_system": '
-
-
 def _emit(report: dict) -> None:
-    """Write the report to stdout with the bytes of print(json.dumps(report, indent=2)).
-
-    The report goes through the encoder once with its singular system as null;
-    _write_system writes the system in that null's place, straight from its
-    equations.
-    """
-    system = report.get("singular_system")
-    text = json.dumps({**report, "singular_system": None} if system else report, indent=2)
+    """Write the report to stdout with the bytes of print(json.dumps(report, indent=2)),
+    one top-level key at a time, the singular system one equation at a time."""
     write = sys.stdout.write
-    if system:
-        head, text = text.split(_SYSTEM_KEY + "null")
-        write(head + _SYSTEM_KEY)
-        _write_system(write, system)
-    write(text + "\n")
+    sep = "{"
+    for key, value in report.items():
+        write(f'{sep}\n  "{key}": ')
+        if isinstance(value, SingularSystem):
+            _write_system(write, value)
+        else:
+            write(_json(value, "  "))
+        sep = ","
+    write("\n}\n")
 
 
 def cmd_classify(path: str) -> int:
@@ -287,7 +301,7 @@ def cmd_verify(path: str, trials: int = 50, seed: int = 0) -> int:
 def _load_beta(path: str, idx: ParamIndex) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            values = [float(tok) for tok in fh.read().split()]
+            values = [float(tok) for tok in fh.read().removeprefix("\ufeff").split()]
         except ValueError as exc:  # the message names the token
             raise ValidationError(f"beta file: {exc}") from None
     if len(values) != idx.p:

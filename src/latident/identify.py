@@ -8,8 +8,10 @@ every node of I to have a complement neighbour in J; the complement is
 symmetric, so that is the one mask test I <= N(J), with N(J) the OR of the
 complement adjacency masks over J, read by every consumer from one table per
 graph.  One memoized backward BFS over the meta-graph of complete subsets gives
-every set that reaches an end its fewest steps to one; a certificate is then
-walked forward off those step counts, so repeated queries on a graph are cheap.
+every set that reaches an end its fewest steps to one; it skips every set
+holding a node with no complement neighbour, as such a set lies in no N(J).  A
+certificate is then walked forward off those step counts, so repeated queries
+on a graph are cheap.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import groupby
+from operator import or_
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -166,7 +169,10 @@ def _steps_to_end(
 ) -> dict[int, int]:
     """FIFO backward BFS from the seeds in `steps` (all at one step count):
     give every set of pool that reaches a seed its fewest steps, a step I -> J
-    needing |I| >= |J| and I <= N(J).  Only sets not reached yet are scanned."""
+    needing |I| >= |J| and I <= N(J).  Only sets not reached yet are scanned.
+    The callers' pools leave out every set with a node outside `live`, the OR
+    of every N(J), which holds the nodes with a complement neighbour: such a
+    set lies in no N(J), so it can take no step."""
     queue = deque(steps)
     left = [i for i in pool if i not in steps]
     while queue and left:
@@ -185,7 +191,8 @@ def _generalized_ok(g: Graph) -> Mapping[int, int]:
     each mapped to the fewest steps to one (singletons at 0)."""
     nbhd = _neighborhoods(g)
     seeds = {m: 0 for m in nbhd if m.bit_count() == 1}
-    return MappingProxyType(_steps_to_end(nbhd, nbhd, seeds))
+    live = reduce(or_, nbhd.values(), 0)
+    return MappingProxyType(_steps_to_end(nbhd, [i for i in nbhd if not i & ~live], seeds))
 
 
 @lru_cache(maxsize=4096)
@@ -193,13 +200,15 @@ def _plain_ok(g: Graph) -> Mapping[int, int]:
     """Complete sets of size >= 2 admitting an equal-size-then-smaller chain,
     each mapped to the fewest steps to the first smaller set."""
     nbhd = _neighborhoods(g)
+    live = reduce(or_, nbhd.values(), 0)
     steps: dict[int, int] = {}
     n_smaller: set[int] = set()  # N(J) of every complete J smaller than the current size
     for k, same in groupby(nbhd, key=int.bit_count):  # the sets come by size
         same = list(same)
         if k > 1:
-            seeds = {i: 1 for i in same if any(not i & ~n_j for n_j in n_smaller)}
-            steps |= _steps_to_end(nbhd, same, seeds)
+            pool = [i for i in same if not i & ~live]
+            seeds = {i: 1 for i in pool if any(not i & ~n_j for n_j in n_smaller)}
+            steps |= _steps_to_end(nbhd, pool, seeds)
         n_smaller.update(map(nbhd.__getitem__, same))
     return MappingProxyType(steps)
 

@@ -11,10 +11,11 @@ echelon rows (`_sample`), for `sample_on_subspace` and `rank_on_system` alike.
 
 A model's system is built from the observed context that `classify` already
 holds (G_S, the subgraph on the hidden node's neighbours, and the failing sets);
-`full_system` reads it off the verdict.  For each failing set only the complete
-subsets inside its boundary are enumerated, by `graph`'s complete-subset walk.
-The pair (V0, anchored) fixes the terms and the terms fix the pair (V0 is the
-smallest term), so pairs are deduplicated, first failing set kept as source.
+`full_system` reads it off the verdict.  Only the complete subsets inside a
+failing set's boundary are enumerated, by `graph`'s complete-subset walk, once
+per distinct boundary.  The pair (V0, anchored) fixes the terms and the terms
+fix the pair (V0 is the smallest term), so pairs are deduplicated, first
+failing set kept as source.
 
 An equation is kept as its generator, never as a list of terms: V0 and
 anchored as slot masks, which carry the level of each node, plus the source
@@ -26,17 +27,19 @@ which is column order.  A system's coordinate table builds one ParamEntry and
 one name per distinct coordinate, on first lookup; an equation's `terms` and
 `names` are views through it, which `locus` and `numeric` read, while a report
 writes the generator itself (the name of {0} | V0 and the anchored slots'
-tokens).  The equations are sorted once, on a key read off each generator
-(`_sort_key`) that orders them as their terms' sort keys do.
+tokens).  An equation is a named tuple, so it carries no attribute dict.  The
+equations are sorted once, on a key read off each generator (`_sort_key`) that
+orders them as their terms' sort keys do, by the ranks of their distinct V0
+and anchored masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import chain, combinations, product, repeat
 from operator import and_, or_
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -83,8 +86,7 @@ def _subsets(mask: int) -> tuple[int, ...]:
     ))
 
 
-@dataclass(frozen=True)
-class SingularEquation:
+class SingularEquation(NamedTuple):
     """Sum of the terms' coordinates equals zero; all coefficients are +1.
 
     Kept as its generator: `v0` and `anchored` are slot masks of G_S (see the
@@ -98,7 +100,7 @@ class SingularEquation:
     v0: int
     anchored: int
     source_set: NodeSet
-    coords: _Coordinates = field(repr=False)
+    coords: _Coordinates
 
     def _slots(self) -> Iterator[int]:
         return map(or_, repeat(self.v0), self.coords.subsets(self.anchored))
@@ -181,6 +183,12 @@ def _sort_key(
     every slot), and A's sequence ends when |A| <= 1, a prefix of B's, which
     comes first (terminator below every slot).  Equal slot lists make equal
     generators, which deduplication leaves out.
+
+    Keys whose |V0| are equal have V0 parts of one length, so keys compare on
+    their V0 parts first and on their anchored parts next.  The key of
+    (v0, 0) is v0's part and a constant, that of (0, anchored) a constant and
+    anchored's part, so those keys rank the V0 and the anchored masks apart
+    and the pairs of ranks sort as the keys do.
     """
     slots = bits(v0)
     if width > 1:
@@ -200,24 +208,28 @@ def _singular_system(
     boundary only, in any order, and each distinct pair (V0, anchored) is kept
     once, with the first failing set that yields it as the source.  A pair over
     multi-level nodes gives one generator per level combination of those nodes.
-    The generators are sorted on `_sort_key` and share one coordinate table.
+    The generators are sorted on `_sort_key`, through the ranks of the distinct
+    V0 and anchored masks, and share one coordinate table.  Each distinct
+    boundary is enumerated once; a pair is keyed by the int v0 << n | anchored.
     """
-    adj, nbhd = g_s.adj, _neighborhoods(g_s)
+    adj, nbhd, n = g_s.adj, _neighborhoods(g_s), len(node_map)
     bits = cache(_bits)  # each distinct mask's bits, read once
     common = cache(lambda v0: reduce(and_, map(adj.__getitem__, bits(v0))))
-    first: dict[tuple[int, int], NodeSet] = {}
+    within = cache(lambda bd_mask: _complete_within(adj, bd_mask))
+    first: dict[int, NodeSet] = {}
     for c_mask, source_set in failing.items():
-        bd_mask = nbhd[c_mask] & ~c_mask
-        for v0 in _complete_within(adj, bd_mask):
-            first.setdefault((v0, c_mask & common(v0)), source_set)
+        for v0 in within(nbhd[c_mask] & ~c_mask):
+            first.setdefault(v0 << n | c_mask & common(v0), source_set)
+    low = (1 << n) - 1
     levels = [m.levels[v] for v in node_map]
     width = max(levels) - 1
     if width == 1:
-        gens = [(v0, anchored, source_set) for (v0, anchored), source_set in first.items()]
+        gens = [(key >> n, key & low, source_set) for key, source_set in first.items()]
     else:
         multi = _mask_of(v for v, l in enumerate(levels) if l > 2)
         gens = []
-        for (v0, anchored), source_set in first.items():
+        for key, source_set in first.items():
+            v0, anchored = key >> n, key & low
             nodes = _bits((v0 | anchored) & multi)
             for combo in product(*(range(1, levels[v]) for v in nodes)):
                 level_of = dict(zip(nodes, combo))
@@ -226,8 +238,12 @@ def _singular_system(
                     _slot_mask(anchored, width, level_of),
                     source_set,
                 ))
-    top = len(node_map) * width
-    gens.sort(key=lambda gen: _sort_key(gen[0], gen[1], width, top, bits))
+    top = n * width
+    v0s = sorted({gen[0] for gen in gens}, key=lambda v0: _sort_key(v0, 0, width, top, bits))
+    anchs = sorted({gen[1] for gen in gens}, key=lambda a: _sort_key(0, a, width, top, bits))
+    v0_rank = {v0: i * len(anchs) for i, v0 in enumerate(v0s)}
+    anchored_rank = {a: i for i, a in enumerate(anchs)}
+    gens.sort(key=lambda gen: v0_rank[gen[0]] + anchored_rank[gen[1]])
     coords = _Coordinates(node_map, width)
     return SingularSystem(tuple(SingularEquation(*gen, coords) for gen in gens))
 

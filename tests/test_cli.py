@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import pathlib
 import random
@@ -546,6 +547,27 @@ def test_report_is_canonical_json(tmp_path, capsys, name, command):
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+def test_writer_matches_json_dumps_on_edge_values(capsys):
+    from latident.cli import _emit
+
+    report = {
+        "schema_version": 3,
+        "model": {"file": 'models/\u00e9 "quoted" \\ back.model', "levels": [], "edges": []},
+        "p": 2 ** 1200,  # complete_model((2,) * 1200)'s p
+        "rank": {
+            "gap": math.inf,
+            "tolerance_used": -0.0,
+            "singular_values": [math.inf, -math.inf, math.nan, -0.0, 5e-324, 0.1, 1e22],
+            "trial_ranks": [],
+        },
+        "core": {},
+        "on_subspace_rank": None,
+        "flags": [True, False, None, [], {}, [[]], {"x": [True, {"y": None}]}],
+    }
+    _emit(report)
+    assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+
 def test_multi_level_round_trip_model_has_multi_level_equations(capsys, tmp_path):
     path = tmp_path / "m.model"
     path.write_text(model_text(ROUND_TRIP_MODELS["k4_pendants_levels3"]))
@@ -708,6 +730,38 @@ def test_non_utf8_stream_is_a_parse_error():
     stream = io.TextIOWrapper(io.BytesIO(b"nodes 2\n\xff\n"), encoding="utf-8")
     with pytest.raises(ParseError, match=r"^byte 8: not valid UTF-8$"):
         parse_model(stream)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_model_file_with_a_byte_order_mark(tmp_path, capsys, name):
+    # a UTF-8 file may start with U+FEFF, as some editors write it
+    path = tmp_path / f"{name}.model"
+    path.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(model_path(name)).read_bytes())
+    plain = run_cli(capsys, "classify", model_path(name))
+    code, out, err = run_cli(capsys, "classify", str(path))
+    report = json.loads(out)
+    assert report["model"].pop("file") == str(path)
+    expected = json.loads(plain[1])
+    expected["model"].pop("file")
+    assert (code, report, err) == (plain[0], expected, plain[2])
+
+
+def test_non_utf8_byte_after_a_byte_order_mark_is_named_by_offset(tmp_path, capsys):
+    path = tmp_path / "bom_latin1.model"
+    path.write_bytes(b"\xef\xbb\xbfnodes 3\n\xff\n")
+    assert run_cli(capsys, "classify", str(path)) == (1, "", "error: byte 11: not valid UTF-8\n")
+
+
+def test_beta_file_with_a_byte_order_mark_round_trips(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "rank", model_path("path5"))
+    sampled = json.loads(out)
+    beta_file = tmp_path / "beta.txt"
+    beta_file.write_text("\ufeff" + " ".join(map(repr, sampled["beta"])), encoding="utf-8")
+    code, out, err = run_cli(capsys, "rank", model_path("path5"), "--beta", str(beta_file))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["beta"] == sampled["beta"]
+    assert report["rank"] == sampled["rank"]
 
 
 def test_node_count_too_large_to_hold_is_a_validation_error(tmp_path):

@@ -481,6 +481,54 @@ def test_reachability_matches_per_bit_cover_reference():
         assert _plain_ok(g).keys() == _plain_ok_reference(g)
 
 
+def _steps_reference(g):
+    """The step maps of `_generalized_ok` and `_plain_ok`, by a layered
+    breadth-first search that scans every complete set at every layer, those
+    holding a node with no complement neighbour included."""
+    comp_adj = complement(g).adj
+    sets_ = _complete_masks(g)
+    nbhd = {}
+    for j in sets_:  # by size, so j less its lowest node comes first
+        nbhd[j] = nbhd.get(j & j - 1, 0) | comp_adj[(j & -j).bit_length() - 1]
+
+    def search(pool, layer, d, steps):
+        while layer:
+            steps.update(dict.fromkeys(layer, d))
+            layer = [
+                i for i in pool if i not in steps
+                and any(i.bit_count() >= j.bit_count() and not i & ~nbhd[j] for j in layer)
+            ]
+            d += 1
+        return steps
+
+    generalized = search(sets_, [j for j in sets_ if j.bit_count() == 1], 0, {})
+    plain = {}
+    for k in range(2, max((m.bit_count() for m in sets_), default=0) + 1):
+        same = [m for m in sets_ if m.bit_count() == k]
+        smaller = [nbhd[j] for j in sets_ if j.bit_count() < k]
+        search(same, [i for i in same if any(not i & ~n_j for n_j in smaller)], 1, plain)
+    return generalized, plain
+
+
+def test_reachability_step_counts_match_unfiltered_reference():
+    # the step counts, not only the members: every connected graph on 1..6
+    # nodes, as criterion 7 enumerates them, and the G_S of the dense models
+    graphs = []
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [pr for b, pr in enumerate(pairs) if bits >> b & 1])
+            if len(connected_components(g)) == 1:
+                graphs.append(g)
+    assert len(graphs) == 27476
+    graphs += _exhaustive_and_dense_gs()[-3:]
+    for g in graphs:
+        assert (dict(_generalized_ok(g)), dict(_plain_ok(g))) == _steps_reference(g)
+    _generalized_ok.cache_clear()
+    _plain_ok.cache_clear()
+    _neighborhoods.cache_clear()
+
+
 SEARCHES = ((_generalized_ok, find_generalized_sequence), (_plain_ok, find_identifying_sequence))
 
 

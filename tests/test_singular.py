@@ -1,5 +1,8 @@
 import hashlib
+import math
+from collections import Counter
 from functools import cache
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +24,7 @@ from latident import (
 )
 from latident import singular
 from latident.cli import main
+from latident.graph import _bits
 from latident.loglinear import ParamEntry
 from latident.singular import locus_equations_for_set, sample_on_subspace
 
@@ -451,6 +455,63 @@ def test_exhaustive_singular_systems_match_pinned_digest():
         3018,
         "9b5ffc0e14aa72c028b64e46de275062d7a67b99e412cc9ed55b87abe3ee274f",
     )
+
+
+def _order_checked_models():
+    """The exhaustive sweep, all-binary and with node 1 at 3 levels, the dense
+    models of the digests above, and every graph on k <= 4 observed nodes,
+    hidden node adjacent to all, with some observed node at 3 or 4 levels."""
+    for g in hidden_over_all_graphs():
+        binary = (2,) * g.node_count
+        yield LatentModel(g, binary)
+        yield LatentModel(g, (2, 3) + binary[2:])
+    for n in (8, 9, 10):
+        yield dense_model(n)
+    for g in hidden_over_all_graphs():
+        k = g.node_count - 1
+        if k <= 4:
+            for levels in product((2, 3, 4), repeat=k):
+                if max(levels) > 2:
+                    yield LatentModel(g, (2, *levels))
+
+
+def test_equations_keep_sort_key_order_and_first_source():
+    # against references built from the verdict and the graph: the equations
+    # ascend on _sort_key and on their term-key sequences, no (V0, anchored)
+    # pair comes twice, every pair the failing sets yield is there, once per
+    # level combination of its multi-level nodes, and its source is the first
+    # failing set that yields it
+    systems = 0
+    for m in _order_checked_models():
+        verdict = classify(m)
+        eqs = verdict.singular_system.equations if verdict.singular_system else ()
+        if not eqs:
+            continue
+        systems += 1
+        g, coords = m.graph, eqs[0].coords
+        width, node_map = coords.width, coords.node_map
+        top = len(node_map) * width
+        keys = [singular._sort_key(eq.v0, eq.anchored, width, top, _bits) for eq in eqs]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        terms = [[(len(t.nodes), t.nodes, t.levels) for t in eq.terms] for eq in eqs]
+        assert all(a < b for a, b in zip(terms, terms[1:]))
+        assert len({(eq.v0, eq.anchored) for eq in eqs}) == len(eqs)
+        first = {}
+        for c in verdict.failing_sets:
+            boundary = [v for v in sorted(verdict.s_nodes - c) if c - g.neighbors(v)]
+            for r in range(1, len(boundary) + 1):
+                for v0 in map(frozenset, combinations(boundary, r)):
+                    if g.is_complete_set(v0):
+                        anchored = frozenset(u for u in c if v0 <= g.neighbors(u))
+                        first.setdefault((v0, anchored), c)
+        count = Counter()
+        for eq in eqs:
+            pair = tuple(frozenset(node_map[s // width] for s in _bits(mask))
+                         for mask in (eq.v0, eq.anchored))
+            assert eq.source_set == first[pair]
+            count[pair] += 1
+        assert count == {pair: math.prod(m.levels[v] - 1 for v in pair[0] | pair[1]) for pair in first}
+    assert systems == 801
 
 
 @cache
