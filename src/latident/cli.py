@@ -15,7 +15,7 @@ A report is written as it is produced, one top-level key at a time, with the
 bytes json.dumps(report, indent=2) would give; json runs its pure-Python
 encoder whenever it indents, so `_json` writes the small blocks instead.  The
 singular system is written one equation at a time as its generator, the
-designated coordinate and the anchored tokens (schema 3), so a report grows
+designated coordinate and the anchored tokens (since schema 3), so a report grows
 with the equation count, not the term count.  Only locus expands the terms.
 """
 
@@ -32,12 +32,12 @@ from .errors import (
     DimensionMismatchError, LatidentError, NotApplicableError, ParseError, ValidationError,
 )
 from .graph import Graph, _bits
-from .identify import Status, Verdict, classify
-from .loglinear import LatentModel, ParamIndex, _core, build_param_index, param_count
+from .identify import Status, Verdict, classify, latent_partition
+from .loglinear import LatentModel, _core, param_count, param_entries
 from .numeric import RankReport, generic_rank, jacobian, numeric_rank, rank_on_system, sample_beta
 from .singular import SingularSystem, full_system
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -51,8 +51,8 @@ _STATUS_EXIT = {
 }
 
 
-def parse_model(source: str | IO[str]) -> LatentModel:
-    """Parse a model file (path or open text stream) into a LatentModel."""
+def _read_text(source: str | IO[str]) -> str:
+    """A file's text (path or open text stream), a bad byte named by its offset."""
     try:
         if isinstance(source, str):
             with open(source, "r", encoding="utf-8") as fh:
@@ -61,11 +61,15 @@ def parse_model(source: str | IO[str]) -> LatentModel:
             text = source.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"byte {exc.start}: not valid UTF-8") from None
-    text = text.removeprefix("\ufeff")  # a byte order mark, as some editors write
+    return text.removeprefix("\ufeff")  # a byte order mark, as some editors write
+
+
+def parse_model(source: str | IO[str]) -> LatentModel:
+    """Parse a model file (path or open text stream) into a LatentModel."""
     node_count: int | None = None
     levels: dict[int, int] = {}
     edges: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_read_text(source).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -298,43 +302,49 @@ def cmd_verify(path: str, trials: int = 50, seed: int = 0) -> int:
     return _STATUS_EXIT[verdict.status]
 
 
-def _load_beta(path: str, idx: ParamIndex) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            values = [float(tok) for tok in fh.read().removeprefix("\ufeff").split()]
-        except ValueError as exc:  # the message names the token
-            raise ValidationError(f"beta file: {exc}") from None
-    if len(values) != idx.p:
-        raise DimensionMismatchError(
-            f"beta file has {len(values)} values, expected {idx.p}"
-        )
+def _load_beta(path: str, p: int) -> np.ndarray:
+    try:
+        values = [float(tok) for tok in _read_text(path).split()]
+    except (ParseError, ValueError) as exc:  # the message names the byte or the token
+        raise ValidationError(f"beta file: {exc}") from None
+    if len(values) != p:
+        raise DimensionMismatchError(f"beta file has {len(values)} values, expected {p}")
     beta = np.array(values, dtype=float)
     if np.any(beta == 0.0):
         raise ValidationError("beta must have every coordinate nonzero")
+    if not np.all(np.isfinite(beta)):  # the core's rank reads only the core's coordinates
+        raise ValidationError("beta has non-finite coordinates")
     return beta
 
 
 def cmd_rank(path: str, beta_path: str | None = None, seed: int = 0) -> int:
+    """Rank the core, as verify does, at one point of the model's p coordinates (--beta
+    or seed): the model's rank is p - core.p + rank.  Core and point precede the listing."""
     _check_seed(seed)
     m = parse_model(path)
-    idx = build_param_index(m)
+    latent_partition(m)  # raises LatentIsolatedError: a model with no S has no core
+    idx = _core(m)
+    p = param_count(m)
     if beta_path is not None:
-        beta = _load_beta(beta_path, idx)
+        beta = _load_beta(beta_path, p)
         beta_source = {"kind": "file", "file": beta_path}
     else:
-        beta = sample_beta(idx.p, [seed, 0])
+        beta = sample_beta(p, [seed, 0])
         beta_source = {"kind": "sampled", "seed": seed}
-    report_obj = numeric_rank(jacobian(idx, beta))
+    entries = param_entries(m)
+    cols = [j for j, e in enumerate(entries) if e in idx.lookup]  # core order: see param_entries
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "rank",
         "model": _model_block(m, path),
-        "p": idx.p,
+        "p": p,
+        "core": {"nodes": list(idx.node_ids), "p": idx.p},
         "beta_source": beta_source,
-        "coordinates": idx.names(),
+        "coordinates": [e.name for e in entries],
         "beta": [float(x) for x in beta],
-        "rank": _rank_block(report_obj),
+        "rank": _rank_block(numeric_rank(jacobian(idx, beta[cols]))),
     }
+    del entries  # freed before the report is written, which keeps only their names
     _emit(report)
     return EXIT_OK
 

@@ -128,21 +128,21 @@ class ParamIndex:
 
 
 def build_param_index(m: LatentModel) -> ParamIndex:
-    """Index over exactly the complete subsets of the model graph.
-
-    Deterministic order: by subset size, then lexicographically on the subset,
-    then lexicographically on the level combination.  The total column count is
-    sum over complete subsets I of prod_{v in I} (levels[v] - 1).  Raises
-    ValidationError, before it lists any entry, when numpy cannot allocate the
-    design matrix (`_design_cells`).
-    """
+    """Index over m's coordinates (`param_entries`).  Raises ValidationError,
+    before it lists any entry, when numpy cannot allocate the design matrix
+    (`_design_cells`); `rank` lists a model's entries without it."""
     _design_cells(m, param_count(m))
+    return ParamIndex(m, param_entries(m))
+
+
+def param_entries(m: LatentModel) -> tuple[ParamEntry, ...]:
+    """Every coordinate of m: by subset size, then lexicographically on the
+    subset, then on the level combination; p = sum over complete subsets I of
+    prod_{v in I} (levels[v] - 1).  The order reads node ids only through their
+    order, so the core's coordinates (`_core`) keep theirs among the model's."""
     subsets = [(), *(tuple(_bits(c)) for c in _complete_masks(m.graph))]
-    entries: list[ParamEntry] = []
-    for nodes in subsets:
-        for combo in product(*(range(1, m.levels[v]) for v in nodes)):
-            entries.append(ParamEntry(nodes, combo))
-    return ParamIndex(m, tuple(entries))
+    return tuple(ParamEntry(nodes, combo) for nodes in subsets
+                 for combo in product(*(range(1, m.levels[v]) for v in nodes)))
 
 
 def param_count(m: LatentModel) -> int:

@@ -24,6 +24,7 @@ from latident.cli import USAGE, main
 
 from conftest import (
     FIXTURE_NAMES, dense_model, k23_with_t1_model, load_model, model_path, model_text, star_model,
+    t1_clique_model,
 )
 
 
@@ -132,7 +133,7 @@ def test_classify_exit_codes(capsys):
 def test_classify_report_content(capsys):
     code, out, _ = run_cli(capsys, "classify", model_path("path5"))
     report = json.loads(out)
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
     assert report["p"] == 20
     assert report["verdict"]["m_clique"] == [1, 3, 5]
     assert report["verdict"]["t1_nodes"] == []
@@ -257,7 +258,8 @@ def test_verify_with_a_t1_node_inside_s_matches_pinned_digest(tmp_path, monkeypa
     # model ids are not the core's, and the core's index reads them as they are.
     # Pinned from the verify that rewrote the system into core ids, without the
     # singular values, cuts and gaps, which vary with the BLAS build; re-pinned
-    # for schema 3, which writes each equation as its generator.
+    # for schema 3, which writes each equation as its generator, and for
+    # schema 4, whose report differs from schema 3's in schema_version only.
     monkeypatch.chdir(tmp_path)
     edges = [(0, v) for v in (1, 2, 4, 5, 6, 7)]
     edges += [(1, 5), (1, 6), (1, 7), (2, 6), (4, 5), (5, 6), (2, 3), (3, 6)]
@@ -272,7 +274,7 @@ def test_verify_with_a_t1_node_inside_s_matches_pinned_digest(tmp_path, monkeypa
         for key in ("singular_values", "tolerance_used", "gap"):
             del report[block][key]
     digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
-    assert digest == "976026106bbde6e78984f3e59dadccaed3385544e8c5ce3def63e3263951059d"
+    assert digest == "f240b5cab5d4902d2f3901e5752541419bd216903f1997c69475a5a9d94bac13"
 
 
 def test_python_dash_m_entry_point():
@@ -448,7 +450,7 @@ def test_locus_prints_equations_only(capsys):
 
 
 def test_classify_report_matches_pinned_digest(tmp_path, monkeypatch, capsys):
-    # the whole schema 3 classify report of the 4,441-equation dense system;
+    # the whole schema 4 classify report of the 4,441-equation dense system;
     # test_classify_equations_expand_to_the_locus ties its equations to the
     # pinned locus digest, so the report keeps every term of the system
     monkeypatch.chdir(tmp_path)
@@ -456,7 +458,7 @@ def test_classify_report_matches_pinned_digest(tmp_path, monkeypatch, capsys):
     code, out, err = run_cli(capsys, "classify", "dense12.model")
     assert (code, err) == (2, "")
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "4e32c75100512c5f2a2bdcc9c4f6ac7000a7356bb6069e8c39bee421946593eb"
+    assert digest == "b45197c0625a0b77fa13b5837800bc8498bc3ce71e148b68fef52c19ac61f71a"
 
 
 # locus output of a large binary and a large multi-level system, pinned from
@@ -762,6 +764,38 @@ def test_beta_file_with_a_byte_order_mark_round_trips(tmp_path, capsys):
     report = json.loads(out)
     assert report["beta"] == sampled["beta"]
     assert report["rank"] == sampled["rank"]
+
+
+@pytest.mark.parametrize(
+    "content, offset", [(b"0.5 \xff 0.5", 4), (b"\xef\xbb\xbf0.5 \xff 0.5", 7)], ids=["plain", "bom"]
+)
+def test_non_utf8_beta_file_is_named_by_offset(tmp_path, capsys, content, offset):
+    # the model file's reader: a bad byte is named by its offset in the file
+    beta_file = tmp_path / "beta.txt"
+    beta_file.write_bytes(content)
+    assert run_cli(capsys, "rank", model_path("path5"), "--beta", str(beta_file)) == (
+        1, "", f"error: beta file: byte {offset}: not valid UTF-8\n"
+    )
+
+
+def test_rank_rejects_a_non_finite_beta_outside_the_core(tmp_path, capsys):
+    # only the core's coordinates enter the Jacobian, but the file is checked in
+    # full: the last coordinate is b{2,3}, of the T1 clique
+    path, beta_file = tmp_path / "t1.model", tmp_path / "beta.txt"
+    path.write_text(model_text(t1_clique_model(2)))
+    beta_file.write_text("0.5 " * 7 + "nan")
+    code, out, err = run_cli(capsys, "rank", str(path), "--beta", str(beta_file))
+    assert (code, out, err) == (1, "", "error: beta has non-finite coordinates\n")
+
+
+@pytest.mark.parametrize("command", ["classify", "verify", "rank"])
+def test_isolated_hidden_node_is_refused(tmp_path, capsys, command):
+    # a hidden node with no neighbour leaves no core to rank
+    path = tmp_path / "isolated.model"
+    path.write_text("nodes 3\nedge 1 2\n")
+    assert run_cli(capsys, command, str(path)) == (
+        1, "", "error: no observed node is adjacent to the hidden node\n"
+    )
 
 
 def test_node_count_too_large_to_hold_is_a_validation_error(tmp_path):

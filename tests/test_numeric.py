@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 import tracemalloc
@@ -29,12 +30,13 @@ from latident import (
 )
 
 from latident import numeric
+from latident.cli import _rank_block, main
 from latident.loglinear import _core, marginalization_matrix, param_count
 from latident.singular import sample_on_subspace
 
 from conftest import (
     FIXTURE_NAMES, five_cycle_model, hidden_over_all_graphs, k23_with_t1_model, load_model,
-    star_model,
+    model_text, star_model,
 )
 
 SINGLE_EDGE = LatentModel.binary(Graph.from_edges(2, [(0, 1)]))
@@ -387,3 +389,43 @@ def test_core_has_the_model_rank_deficit():
         counts["multi_level"] += max(m.levels) > 2
     assert counts["t1"] >= 50 and counts["multi_level"] >= 20 and counts["on_system"] >= 20, counts
     assert counts["forced_zero"] >= 1, counts
+
+
+def test_rank_command_matches_the_full_table(tmp_path, capsys):
+    # `rank` ranks the core at the core's coordinates of its point; the model's
+    # rank p - core.p + rank is the full table's, at the sampled point and at a
+    # point of the singular system read back through --beta, where it drops
+    counts = {"compared": 0, "whole": 0, "dropped": 0}
+    for i, m in enumerate(_deficit_models()):
+        path, beta_file = tmp_path / f"m{i}.model", tmp_path / f"m{i}.beta"
+        path.write_text(model_text(m))
+        full_idx, core_idx = build_param_index(m), _core(m)
+        cols = [full_idx.lookup[e] for e in core_idx.lookup]
+        points = [("sampled", sample_beta(full_idx.p, [0, 0]))]
+        system = classify(m).singular_system
+        if system is not None:
+            try:
+                points.append(("file", sample_on_subspace(system, full_idx, [7, 0])))
+            except InconsistentSystemError:
+                pass
+        for kind, beta in points:
+            argv = ["rank", str(path)]
+            if kind == "file":
+                beta_file.write_text(" ".join(map(repr, beta.tolist())))
+                argv += ["--beta", str(beta_file)]
+            assert main(argv) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["beta_source"]["kind"] == kind
+            assert report["coordinates"] == full_idx.names()
+            assert report["beta"] == beta.tolist()
+            assert report["core"] == {"nodes": list(core_idx.node_ids), "p": core_idx.p}
+            assert report["rank"] == _rank_block(numeric_rank(jacobian(core_idx, beta[cols])))
+            full, rank = numeric_rank(jacobian(full_idx, beta)), report["rank"]
+            if not (full.ambiguous or rank["ambiguous"]):
+                assert report["p"] - core_idx.p + rank["rank"] == full.rank, m
+                counts["compared"] += 1
+                counts["dropped"] += kind == "file" and full.rank < full_idx.p
+            if core_idx.p == full_idx.p:
+                assert rank == _rank_block(full)
+                counts["whole"] += 1
+    assert counts["compared"] >= 120 and counts["whole"] >= 20 and counts["dropped"] >= 20, counts
