@@ -29,7 +29,6 @@ from .identify import (
 )
 from .loglinear import (
     LatentModel,
-    ParamEntry,
     ParamIndex,
     build_param_index,
     design_matrix,
@@ -61,7 +60,6 @@ __all__ = [
     "LatentModel",
     "LatidentError",
     "NotApplicableError",
-    "ParamEntry",
     "ParamIndex",
     "ParseError",
     "RankReport",

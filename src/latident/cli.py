@@ -13,18 +13,22 @@ line gets USAGE and a `latident: error:` line.  Exit codes for classify/verify:
 
 A report is written as it is produced, one top-level key at a time, with the
 bytes json.dumps(report, indent=2) would give; json runs its pure-Python
-encoder whenever it indents, so `_json` writes the small blocks instead.  The
-singular system is written one equation at a time as its generator, the
-designated coordinate and the anchored tokens (since schema 3), so a report grows
-with the equation count, not the term count.  Only locus expands the terms.
+encoder whenever it indents, so `_json` writes the small blocks instead.  A
+coordinate, a slot mask in model ids (see loglinear), is named only where it is
+written: a singular system one equation at a time as its generator, the
+designated coordinate and the anchored tokens (since schema 3), so a report
+grows with the equation count, not the term count, and rank's p names and point
+a few thousand at a time.  Only locus expands the terms.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from functools import cache
-from typing import IO
+from functools import cache, reduce
+from itertools import islice
+from operator import or_
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -33,7 +37,9 @@ from .errors import (
 )
 from .graph import Graph, _bits
 from .identify import Status, Verdict, classify, latent_partition
-from .loglinear import LatentModel, _core, param_count, param_entries
+from .loglinear import (
+    HIDDEN_SLOT, LatentModel, _coordinate_name, _core, _token, param_count, param_entries,
+)
 from .numeric import RankReport, generic_rank, jacobian, numeric_rank, rank_on_system, sample_beta
 from .singular import SingularSystem, full_system
 
@@ -194,40 +200,51 @@ def _write_system(write, system: SingularSystem) -> None:
     """Write the singular_system block, one write per equation, with the bytes
     json.dumps(..., indent=2) gives it as the value of a top-level key.
 
-    Each equation is written as its generator: the designated coordinate
-    {0} | V0 and the anchored slots' tokens, read through the system's one
-    coordinate table, so no term beyond the first is built.  A name's or a
-    token's JSON string is itself in quotes (see ParamEntry.name).  The text
+    Each equation is written as its generator, named from its slot masks at
+    the system's width: the designated coordinate {0} | V0 and the anchored
+    slots' tokens, so no term beyond the first is named.  A name's or a token's
+    JSON string is itself in quotes (see loglinear._coordinate_name).  The text
     before the anchored list and after the source set depends on V0 alone, so
     it is built once per V0, as each anchored and source list is once per mask.
     """
-    equations = system.equations
-    coords = equations[0].coords if equations else None
+    equations, w = system.equations, system.width
     pad = " " * 8
-    head = cache(lambda v0: f'      {{\n        "designated": "{coords.entry(v0).name}",\n'
-                            '        "anchored": ')
+    head = cache(lambda v0: '      {\n        "designated": '
+                            f'"{_coordinate_name(HIDDEN_SLOT | v0, w)}",\n        "anchored": ')
     tail = cache(lambda v0: ',\n        "source_boundary_subset": '
-                            f"{_json_list(list(map(str, coords.entry(v0).nodes[1:])), pad)}\n      }}")
-    anchored_list = cache(lambda slots: _json_list([f'"{coords.token(s)}"' for s in _bits(slots)], pad))
+                            f"{_json_list([str(s // w) for s in _bits(v0)], pad)}\n      }}")
+    anchored_list = cache(lambda slots: _json_list([f'"{_token(s, w)}"' for s in _bits(slots)], pad))
     source_list = cache(lambda ns: _json_list(list(map(str, sorted(ns))), pad))
     middle = ',\n        "source_kind": "boundary",\n        "source_set": '
     write(f'{{\n    "equation_count": {len(equations)},\n    "equations": [')
     sep = "\n"
-    for v0, anchored, source_set, _ in equations:
+    for v0, anchored, source_set in equations:
         write(sep + head(v0) + anchored_list(anchored) + middle + source_list(source_set) + tail(v0))
         sep = ",\n"
     write("\n    ]\n  }" if equations else "]\n  }")
 
 
+def _write_items(write, texts: Iterator[str]) -> None:
+    """Write a top-level key's list, given as its items' JSON texts, a few thousand per write."""
+    sep = "[\n    "
+    while chunk := list(islice(texts, 4096)):
+        write(sep + ",\n    ".join(chunk))
+        sep = ",\n    "
+    write("[]" if sep == "[\n    " else "\n  ]")
+
+
 def _emit(report: dict) -> None:
     """Write the report to stdout with the bytes of print(json.dumps(report, indent=2)),
-    one top-level key at a time, the singular system one equation at a time."""
+    one top-level key at a time, the singular system one equation at a time and
+    an iterator, a list given as its items' JSON texts, in chunks (`_write_items`)."""
     write = sys.stdout.write
     sep = "{"
     for key, value in report.items():
         write(f'{sep}\n  "{key}": ')
         if isinstance(value, SingularSystem):
             _write_system(write, value)
+        elif isinstance(value, Iterator):
+            _write_items(write, value)
         else:
             write(_json(value, "  "))
         sep = ","
@@ -331,8 +348,9 @@ def cmd_rank(path: str, beta_path: str | None = None, seed: int = 0) -> int:
     else:
         beta = sample_beta(p, [seed, 0])
         beta_source = {"kind": "sampled", "seed": seed}
-    entries = param_entries(m)
-    cols = [j for j, e in enumerate(entries) if e in idx.lookup]  # core order: see param_entries
+    entries, w = param_entries(m), m.width
+    inside = reduce(or_, idx.entries)  # every slot of the core's nodes
+    cols = [j for j, e in enumerate(entries) if not e & ~inside]  # core order: see param_entries
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "rank",
@@ -340,11 +358,11 @@ def cmd_rank(path: str, beta_path: str | None = None, seed: int = 0) -> int:
         "p": p,
         "core": {"nodes": list(idx.node_ids), "p": idx.p},
         "beta_source": beta_source,
-        "coordinates": [e.name for e in entries],
-        "beta": [float(x) for x in beta],
+        # named as they are written; a name is its own JSON string, a finite float its repr
+        "coordinates": (f'"{_coordinate_name(e, w)}"' for e in entries),
+        "beta": map(float.__repr__, beta.tolist()),
         "rank": _rank_block(numeric_rank(jacobian(idx, beta[cols]))),
     }
-    del entries  # freed before the report is written, which keeps only their names
     _emit(report)
     return EXIT_OK
 
@@ -356,7 +374,7 @@ def cmd_locus(path: str) -> int:
         print(exc, file=sys.stderr)
     else:
         for eq in system.equations:
-            print(eq.render())
+            print(eq.render(system.width))
     return EXIT_OK
 
 

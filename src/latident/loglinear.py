@@ -8,6 +8,13 @@ spells that sum out as the dense matrix L = [I I] for tests only.  `_core`
 gives the index of the model induced on the hidden node and its neighbours,
 whose Jacobian has the model's rank deficit.
 
+A coordinate is one int, its slot mask in model ids: node v at level l
+(1..levels[v]-1) is bit v * w + l - 1, with one w per model (`LatentModel.width`),
+so a binary model's slot masks are its complete node masks, and the general
+mean `mu` is 0.  The index, a core's index, the singular system and every
+report read this one form; a name is built only where it is written
+(`_coordinate_name`).
+
 Cell stacking convention: the hidden variable A0 changes slowest, then A1, down
 to An changing fastest (row-major order over (2, l1, ..., ln)).
 """
@@ -22,9 +29,10 @@ from itertools import product
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, NodeSet, _bits, _complete_masks, induced_subgraph
+from .graph import Graph, NodeSet, _bits, _complete_within, _mask_of, induced_subgraph
 
 LATENT = 0
+HIDDEN_SLOT = 1  # slot mask of the hidden node at its one level: bit 0 at every width
 
 
 @dataclass(frozen=True)
@@ -62,58 +70,53 @@ class LatentModel:
         """Number of cells l of the observed marginal table."""
         return math.prod(self.levels[1:])
 
+    @property
+    def width(self) -> int:
+        """Slots per node in the model's slot masks: the largest level count less one."""
+        return max(self.levels) - 1
 
-def _token(v: int, l: int) -> str:
-    """Node v at level l in a coordinate name: "v" at level 1, "v:l" otherwise."""
-    return str(v) if l == 1 else f"{v}:{l}"
+
+def _token(slot: int, width: int) -> str:
+    """Slot `slot` at `width` in a coordinate name: node v as "v" at level 1, else "v:l"."""
+    v, k = divmod(slot, width)
+    return f"{v}:{k + 1}" if k else str(v)
 
 
-@dataclass(frozen=True)
-class ParamEntry:
-    """One parameter coordinate: a complete subset plus a non-zero level per member.
+def _coordinate_name(mask: int, width: int) -> str:
+    """Name of the coordinate with slot mask `mask` at `width`, e.g. "mu",
+    "b{0,2,5}"; level 1 is implied, others shown as v:l.
 
-    `nodes` is sorted ascending; `levels[i]` is the level (1..l_v-1) attached to
-    `nodes[i]`.  The empty subset is the general mean.
-    """
-
-    nodes: tuple[int, ...]
-    levels: tuple[int, ...]
-
-    @cached_property
-    def name(self) -> str:
-        """Coordinate name, e.g. "mu", "b{0,2,5}"; level 1 is implied, others shown as v:l.
-
-        Built on first use and kept on the entry.  Names are ASCII with no quote,
-        backslash or control character, so a name's JSON string is the name in
-        double quotes; the report writer relies on that."""
-        if not self.nodes:
-            return "mu"
-        return "b{" + ",".join(map(_token, self.nodes, self.levels)) + "}"
+    Names are ASCII with no quote, backslash or control character, so a name's
+    JSON string is the name in double quotes; the report writer relies on that."""
+    if not mask:
+        return "mu"
+    if width == 1:  # each slot is its node at level 1; kept cheap for rank's p names
+        return "b{" + ",".join(map(str, _bits(mask))) + "}"
+    return "b{" + ",".join(_token(s, width) for s in _bits(mask)) + "}"
 
 
 @dataclass(frozen=True)
 class ParamIndex:
-    """The model whose parameters these are, its ordered coordinates, a
-    coordinate -> column lookup and the design matrix.  The numeric layer takes
-    the index alone: the model fixes the design's cells and the Jacobian's row
-    count, and `design` is built on first use and freed with the index.
+    """The model whose parameters these are, its coordinates as slot masks in
+    column order, their width, a coordinate -> column lookup and the design
+    matrix.  The numeric layer takes the index alone: the model fixes the
+    design's cells and the Jacobian's row count, and `design` is built on first
+    use and freed with the index.
 
-    The index of a model's core (`_core`) holds the core model, the core's ids
-    in its entries and the model id of each core node in `node_ids`; `lookup`
-    and `names` read coordinates in the model's ids, so a singular system is
+    The index of a model's core (`_core`) holds the core model, the core's
+    coordinates as slot masks of the whole model (its ids and its width) and
+    the model id of each core node in `node_ids`, so a singular system is
     looked up as it is.
     """
 
     model: LatentModel
-    entries: tuple[ParamEntry, ...]
+    entries: tuple[int, ...]
+    width: int
     node_ids: tuple[int, ...] | None = None
 
     @cached_property
-    def lookup(self) -> dict[ParamEntry, int]:
-        ids, entries = self.node_ids, self.entries
-        if ids is not None:
-            entries = (ParamEntry(tuple(ids[v] for v in e.nodes), e.levels) for e in entries)
-        return {e: j for j, e in enumerate(entries)}
+    def lookup(self) -> dict[int, int]:
+        return {e: j for j, e in enumerate(self.entries)}
 
     @cached_property
     def design(self) -> np.ndarray:
@@ -124,25 +127,36 @@ class ParamIndex:
         return len(self.entries)
 
     def names(self) -> list[str]:
-        return [e.name for e in self.lookup]
+        return [_coordinate_name(e, self.width) for e in self.entries]
 
 
-def build_param_index(m: LatentModel) -> ParamIndex:
-    """Index over m's coordinates (`param_entries`).  Raises ValidationError,
-    before it lists any entry, when numpy cannot allocate the design matrix
+def build_param_index(m: LatentModel, nodes: tuple[int, ...] | None = None) -> ParamIndex:
+    """Index over m's coordinates (`param_entries`), or over those of the model
+    m induces on `nodes` (the hidden node among them), kept as m's slot masks,
+    with the nodes ascending as `node_ids`.  Raises ValidationError, before it
+    lists any entry, when numpy cannot allocate the design matrix
     (`_design_cells`); `rank` lists a model's entries without it."""
-    _design_cells(m, param_count(m))
-    return ParamIndex(m, param_entries(m))
+    sub, within = m, -1
+    if nodes is not None:
+        g, nodes = induced_subgraph(m.graph, nodes)
+        sub, within = LatentModel(g, tuple(m.levels[v] for v in nodes)), _mask_of(nodes)
+    _design_cells(sub, param_count(sub))
+    return ParamIndex(sub, param_entries(m, within), m.width, nodes)
 
 
-def param_entries(m: LatentModel) -> tuple[ParamEntry, ...]:
-    """Every coordinate of m: by subset size, then lexicographically on the
-    subset, then on the level combination; p = sum over complete subsets I of
+def param_entries(m: LatentModel, within: int = -1) -> tuple[int, ...]:
+    """Slot mask of every coordinate of m on the nodes of `within` (a node mask,
+    all nodes by default): by subset size, then lexicographically on the subset,
+    then on the level combination; p = sum over complete subsets I of
     prod_{v in I} (levels[v] - 1).  The order reads node ids only through their
-    order, so the core's coordinates (`_core`) keep theirs among the model's."""
-    subsets = [(), *(tuple(_bits(c)) for c in _complete_masks(m.graph))]
-    return tuple(ParamEntry(nodes, combo) for nodes in subsets
-                 for combo in product(*(range(1, m.levels[v]) for v in nodes)))
+    order, so the core's coordinates (`_core`) keep theirs among the model's.
+    A binary model's slot masks are its complete node masks, taken as they are."""
+    subsets = _complete_within(m.graph.adj, within & (1 << m.graph.node_count) - 1)
+    w = m.width
+    if w == 1:
+        return (0, *subsets)
+    slots = [[1 << v * w + k for k in range(l - 1)] for v, l in enumerate(m.levels)]
+    return (0, *(sum(combo) for c in subsets for combo in product(*map(slots.__getitem__, _bits(c)))))
 
 
 def param_count(m: LatentModel) -> int:
@@ -170,8 +184,8 @@ def param_count(m: LatentModel) -> int:
 
 def _core(m: LatentModel) -> ParamIndex:
     """The index of m's core: the model induced on {0} | S, S the hidden node's
-    neighbours, with the same levels; its entries; and in `node_ids` the model
-    id of each core node, in ascending order.
+    neighbours, with the same levels; its coordinates as m's slot masks; and in
+    `node_ids` the model id of each core node, in ascending order.
 
     The Jacobian has the same rank deficit p - rank on the core as on m, at
     every point whose coordinates holding the hidden node agree.
@@ -195,9 +209,7 @@ def _core(m: LatentModel) -> ParamIndex:
     restriction to the core does, and the least deficit on the system is also
     the same for both.
     """
-    g, ids = induced_subgraph(m.graph, [LATENT, *_bits(m.graph.adj[LATENT])])
-    core = LatentModel(g, tuple(m.levels[v] for v in ids))
-    return ParamIndex(core, build_param_index(core).entries, ids)
+    return build_param_index(m, (LATENT, *_bits(m.graph.adj[LATENT])))
 
 
 def _design_cells(m: LatentModel, p: int) -> np.ndarray:
@@ -217,13 +229,16 @@ def design_matrix(idx: ParamIndex) -> np.ndarray:
     Entry (cell, (I, combo)) is 1 iff the cell's level of every v in I equals
     the combo's level for v; the empty-set column is all ones.  Column j is
     filled as one grid slice of the `_design_cells` array: the axes of the nodes
-    in I are fixed at the combo's levels, every other axis is free.
+    in I, read off the slot mask's bits (through `node_ids` for a core), are
+    fixed at the combo's levels, every other axis is free.
     """
     z = _design_cells(idx.model, idx.p)
+    w = idx.width
+    axis = {v: a for a, v in enumerate(idx.node_ids or range(z.ndim - 1))}
     for j, e in enumerate(idx.entries):
         cell: list = [slice(None)] * (z.ndim - 1)
-        for v, level in zip(e.nodes, e.levels):
-            cell[v] = level
+        for s in _bits(e):
+            cell[axis[s // w]] = s % w + 1
         z[(*cell, j)] = 1.0
     z = z.reshape(-1, idx.p)
     z.setflags(write=False)

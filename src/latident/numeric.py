@@ -36,7 +36,7 @@ from .errors import (
     InconsistentSystemError,
     ValidationError,
 )
-from .loglinear import ParamIndex
+from .loglinear import ParamIndex, _coordinate_name
 
 SAFE_EXPONENT = 700.0
 GAP_RULE = 1.0e3
@@ -93,14 +93,15 @@ def _eliminate(sys, idx: ParamIndex) -> list[list[tuple[int, int]]]:
     try:  # each equation's terms are read once, all looked up before any elimination
         rows = [dict.fromkeys(sorted(idx.lookup[t] for t in eq.terms), 1) for eq in sys.equations]
     except KeyError as exc:
-        name = exc.args[0].name
+        name = _coordinate_name(exc.args[0], idx.width)
         raise InconsistentSystemError(f"coordinate {name} is not in the parameter index") from None
     pivots: dict[int, dict[int, int]] = {}  # lowest column -> its row, columns ascending
     for row in rows:
         while row and (d := next(iter(row))) in pivots:
             row = _cancel(row, pivots[d], d)
         if len(row) == 1:
-            raise InconsistentSystemError(f"the equations force {idx.names()[d]} to zero")
+            name = _coordinate_name(idx.entries[d], idx.width)
+            raise InconsistentSystemError(f"the equations force {name} to zero")
         if row:
             pivots[d] = row
     reduced: dict[int, dict[int, int]] = {}  # pivot -> its row with no other pivot, highest first
@@ -109,7 +110,8 @@ def _eliminate(sys, idx: ParamIndex) -> list[list[tuple[int, int]]]:
         for c in [c for c in row if c in reduced]:
             row = _cancel(row, reduced[c], c)
         if len(row) == 1:
-            raise InconsistentSystemError(f"the equations force {idx.names()[d]} to zero")
+            name = _coordinate_name(idx.entries[d], idx.width)
+            raise InconsistentSystemError(f"the equations force {name} to zero")
         reduced[d] = row
     return [list(pivots[d].items()) for d in reduced]
 

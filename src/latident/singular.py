@@ -18,64 +18,35 @@ fix the pair (V0 is the smallest term), so pairs are deduplicated, first
 failing set kept as source.
 
 An equation is kept as its generator, never as a list of terms: V0 and
-anchored as slot masks, which carry the level of each node, plus the source
-set.  Node v of G_S (local id) at level l is slot bit v * w + l - 1, with w the
-largest level count in S less one, so when S is all binary a slot mask is a
-node mask.  The coordinate of V0 | I is the OR of their slot masks, and the
-subsets of a slot mask come in the (size, lexicographic) order of their nodes,
-which is column order.  A system's coordinate table builds one ParamEntry and
-one name per distinct coordinate, on first lookup; an equation's `terms` and
-`names` are views through it, which `locus` and `numeric` read, while a report
-writes the generator itself (the name of {0} | V0 and the anchored slots'
-tokens).  An equation is a named tuple, so it carries no attribute dict.  The
-equations are sorted once, on a key read off each generator (`_sort_key`) that
-orders them as their terms' sort keys do, by the ranks of their distinct V0
-and anchored masks.
+anchored as slot masks in model ids (node v at level l is bit v * w + l - 1,
+w the model's `width`, the layout of the parameter index), plus the source
+set.  Each distinct local mask of G_S is mapped to model ids once.  The
+coordinate of {0} | V0 | I is the OR of their slot masks with the hidden
+node's slot, and the subsets of a slot mask come in the (size, lexicographic)
+order of their nodes, which is column order.  An equation's `terms` are those
+slot masks, which `numeric` looks up as they are; `render` names them, which
+`locus` prints, while a report writes the generator itself (the name of
+{0} | V0 and the anchored slots' tokens).  An equation is a named tuple, so it
+carries no attribute dict.  The equations are sorted once, on a key read off
+each generator (`_sort_key`) that orders them as their terms' sort keys do, by
+the ranks of their distinct V0 and anchored masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import chain, combinations, product, repeat
-from operator import and_, or_
-from typing import Callable, Iterator, NamedTuple
+from itertools import chain, combinations, product
+from operator import and_
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import NotApplicableError
 from .graph import Graph, NodeSet, _bits, _complete_within, _mask_of, induced_subgraph
 from .identify import Status, _neighborhoods, _plain_ok, classify, latent_partition
-from .loglinear import LATENT, LatentModel, ParamEntry, ParamIndex, _token
+from .loglinear import HIDDEN_SLOT, LatentModel, ParamIndex, _coordinate_name
 from .numeric import _eliminate, _sample
-
-
-@dataclass(frozen=True)
-class _Coordinates:
-    """A system's coordinate table: `entry` maps a slot mask of G_S to its
-    ParamEntry, which keeps its name, and `subsets` an anchored mask to its
-    subsets, each built on first lookup and kept as long as the table.  `token`
-    gives one slot's node and level as a name writes them.
-
-    Slot s stands for node node_map[s // width] at level s % width + 1.  Two
-    tables are equal when they read every slot mask alike.
-    """
-
-    node_map: tuple[int, ...]
-    width: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "entry", cache(self._entry))
-        object.__setattr__(self, "subsets", cache(_subsets))
-
-    def token(self, slot: int) -> str:
-        return _token(self.node_map[slot // self.width], slot % self.width + 1)
-
-    def _entry(self, slots: int) -> ParamEntry:
-        w, bits = self.width, _bits(slots)
-        return ParamEntry(
-            (LATENT, *(self.node_map[s // w] for s in bits)), (1, *(s % w + 1 for s in bits))
-        )
 
 
 def _subsets(mask: int) -> tuple[int, ...]:
@@ -89,40 +60,35 @@ def _subsets(mask: int) -> tuple[int, ...]:
 class SingularEquation(NamedTuple):
     """Sum of the terms' coordinates equals zero; all coefficients are +1.
 
-    Kept as its generator: `v0` and `anchored` are slot masks of G_S (see the
-    module docstring) and `source_set` is the failing set the equation came
-    from, in model ids.  The terms are {0} | V0 | I over the subsets I of
-    anchored, in column order, so the first is {0} | V0.  `terms` and `names`
-    are built from the system's coordinate table on each use; a report writes
-    the generator instead, as `designated` and `anchored` (see cli._write_system).
+    Kept as its generator: `v0` and `anchored` are slot masks in model ids (see
+    the module docstring) and `source_set` is the failing set the equation came
+    from.  The terms are {0} | V0 | I over the subsets I of anchored, in column
+    order, so the first is {0} | V0.  A report writes the generator instead, as
+    `designated` and `anchored` (see cli._write_system).
     """
 
     v0: int
     anchored: int
     source_set: NodeSet
-    coords: _Coordinates
-
-    def _slots(self) -> Iterator[int]:
-        return map(or_, repeat(self.v0), self.coords.subsets(self.anchored))
 
     @property
-    def terms(self) -> tuple[ParamEntry, ...]:
-        return tuple(map(self.coords.entry, self._slots()))
+    def terms(self) -> tuple[int, ...]:
+        """The terms' slot masks, in column order."""
+        head = HIDDEN_SLOT | self.v0
+        return tuple(head | s for s in _subsets(self.anchored))
 
-    @property
-    def names(self) -> list[str]:
-        """The terms' names, in column order."""
-        return [self.coords.entry(s).name for s in self._slots()]
-
-    def render(self) -> str:
-        return " + ".join(self.names) + " = 0"
+    def render(self, width: int) -> str:
+        """The equation as text, its terms named at the system's `width`."""
+        return " + ".join(_coordinate_name(t, width) for t in self.terms) + " = 0"
 
 
 @dataclass(frozen=True)
 class SingularSystem:
-    """Deduplicated equations, ordered by their terms' sort keys."""
+    """Deduplicated equations, ordered by their terms' sort keys, and the width
+    of their slot masks, the model's `width`."""
 
     equations: tuple[SingularEquation, ...]
+    width: int
 
 
 def locus_equations_for_set(m: LatentModel, i0: NodeSet) -> list[SingularEquation]:
@@ -147,11 +113,12 @@ def locus_equations_for_set(m: LatentModel, i0: NodeSet) -> list[SingularEquatio
     return list(_singular_system(m, g_s, node_map, {c_mask: i0}).equations)
 
 
-def _slot_mask(mask: int, width: int, level_of: dict[int, int]) -> int:
-    """The slot mask of the nodes of mask, each at its level in level_of (default 1)."""
+def _slot_mask(mask: int, slot: list[int], level_of: dict[int, int]) -> int:
+    """The slot mask of the nodes of mask, slot[v] the slot of node v at level 1,
+    each at its level in level_of (default 1)."""
     out = 0
     for v in _bits(mask):
-        out |= 1 << v * width + level_of.get(v, 1) - 1
+        out |= slot[v] << level_of.get(v, 1) - 1
     return out
 
 
@@ -207,10 +174,12 @@ def _singular_system(
     of C adjacent in G_S to all of V0.  The V0 are the complete subsets of the
     boundary only, in any order, and each distinct pair (V0, anchored) is kept
     once, with the first failing set that yields it as the source.  A pair over
-    multi-level nodes gives one generator per level combination of those nodes.
-    The generators are sorted on `_sort_key`, through the ranks of the distinct
-    V0 and anchored masks, and share one coordinate table.  Each distinct
-    boundary is enumerated once; a pair is keyed by the int v0 << n | anchored.
+    multi-level nodes gives one generator per level combination of those nodes,
+    and a pair over two-level nodes alone one generator whose local masks are
+    mapped to slot masks in model ids once per distinct mask.  The generators
+    are sorted on `_sort_key`, through the ranks of the distinct V0 and
+    anchored slot masks.  Each distinct boundary is enumerated once; a pair is
+    keyed by the int v0 << n | anchored of local masks.
     """
     adj, nbhd, n = g_s.adj, _neighborhoods(g_s), len(node_map)
     bits = cache(_bits)  # each distinct mask's bits, read once
@@ -222,30 +191,27 @@ def _singular_system(
             first.setdefault(v0 << n | c_mask & common(v0), source_set)
     low = (1 << n) - 1
     levels = [m.levels[v] for v in node_map]
-    width = max(levels) - 1
-    if width == 1:
-        gens = [(key >> n, key & low, source_set) for key, source_set in first.items()]
+    width = m.width
+    slot = [1 << v * width for v in node_map]
+    multi = _mask_of(v for v, l in enumerate(levels) if l > 2)
+    if not multi:
+        spread = cache(lambda mask: _slot_mask(mask, slot, {}))
+        gens = [(spread(key >> n), spread(key & low), source_set) for key, source_set in first.items()]
     else:
-        multi = _mask_of(v for v, l in enumerate(levels) if l > 2)
         gens = []
         for key, source_set in first.items():
             v0, anchored = key >> n, key & low
             nodes = _bits((v0 | anchored) & multi)
             for combo in product(*(range(1, levels[v]) for v in nodes)):
                 level_of = dict(zip(nodes, combo))
-                gens.append((
-                    _slot_mask(v0, width, level_of),
-                    _slot_mask(anchored, width, level_of),
-                    source_set,
-                ))
-    top = n * width
+                gens.append((*(_slot_mask(x, slot, level_of) for x in (v0, anchored)), source_set))
+    top = m.graph.node_count * width
     v0s = sorted({gen[0] for gen in gens}, key=lambda v0: _sort_key(v0, 0, width, top, bits))
     anchs = sorted({gen[1] for gen in gens}, key=lambda a: _sort_key(0, a, width, top, bits))
     v0_rank = {v0: i * len(anchs) for i, v0 in enumerate(v0s)}
     anchored_rank = {a: i for i, a in enumerate(anchs)}
     gens.sort(key=lambda gen: v0_rank[gen[0]] + anchored_rank[gen[1]])
-    coords = _Coordinates(node_map, width)
-    return SingularSystem(tuple(SingularEquation(*gen, coords) for gen in gens))
+    return SingularSystem(tuple(SingularEquation(*gen) for gen in gens), width)
 
 
 # Why a verdict of each status has no closed-form singular system: classify

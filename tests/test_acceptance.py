@@ -82,7 +82,7 @@ def test_criterion_02_triangle_pendants_locus():
         verdict = classify(m)
         assert verdict.status is Status.GENERICALLY_IDENTIFIED
         system = full_system(m)
-        assert {eq.render() for eq in system.equations} == {
+        assert {eq.render(system.width) for eq in system.equations} == {
             "b{0,2} + b{0,2,5} = 0",
             "b{0,3} + b{0,3,4} = 0",
             "b{0,6} + b{0,1,6} = 0",
@@ -115,12 +115,12 @@ def test_criterion_03_k4_pendants_partial_subspaces():
             "b{0,2,3} + b{0,2,3,4} = 0",
             "b{0,1,2,3} + b{0,1,2,3,4} = 0",
         }
-        assert {eq.render() for eq in system.equations} == expected
+        assert {eq.render(system.width) for eq in system.equations} == expected
         idx = build_param_index(m)
         assert idx.p == 40
         assert generic_rank(idx, trials=50, seed=0).rank == 40
 
-        by_text = {eq.render(): eq for eq in system.equations}
+        by_text = {eq.render(system.width): eq for eq in system.equations}
         first = by_text["b{0,5} + b{0,4,5} = 0"]
         second = by_text["b{0,6} + b{0,4,6} = 0"]
         last_seven = tuple(
@@ -134,11 +134,11 @@ def test_criterion_03_k4_pendants_partial_subspaces():
         # rank falls by eight on the subspace shared by the 4-clique's failing
         # sets (its two boundary equations), and by two on the last seven
         drop8 = rank_on_system(
-            idx, SingularSystem((first, second)), trials=50, seed=0
+            idx, SingularSystem((first, second), system.width), trials=50, seed=0
         )
         assert drop8.rank == 32 and drop8.unanimous
 
-        drop2 = rank_on_system(idx, SingularSystem(last_seven), trials=50, seed=0)
+        drop2 = rank_on_system(idx, SingularSystem(last_seven, system.width), trials=50, seed=0)
         assert drop2.rank == 38 and drop2.unanimous
         assert time.monotonic() - start < 10.0
 

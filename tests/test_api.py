@@ -9,7 +9,6 @@ EXPORTED = [
     "LatentModel",
     "LatidentError",
     "NotApplicableError",
-    "ParamEntry",
     "ParamIndex",
     "ParseError",
     "RankReport",

@@ -601,9 +601,8 @@ def test_classify_builds_no_param_index(monkeypatch, capsys):
 
 
 def test_classify_never_expands_an_equation(monkeypatch, capsys, tmp_path):
-    # the report is O(equations): classify reads no term list, no term names
-    # and no subsets of an anchored mask (the function each coordinate table
-    # caches as `subsets`)
+    # the report is O(equations): classify reads no term list, names no term
+    # beyond the designated one and takes no subsets of an anchored mask
     from latident import SingularEquation, singular
 
     paths = {}
@@ -615,7 +614,7 @@ def test_classify_never_expands_an_equation(monkeypatch, capsys, tmp_path):
     def expanded(*args):
         raise AssertionError("classify expanded an equation")
 
-    for attr in ("names", "terms"):
+    for attr in ("render", "terms"):
         monkeypatch.setattr(SingularEquation, attr, property(expanded))
     monkeypatch.setattr(singular, "_subsets", expanded)
     for name, path in paths.items():
@@ -706,10 +705,10 @@ def test_oversized_design_is_refused_before_the_index(tmp_path, capsys, monkeypa
     path = tmp_path / "k3_800.model"
     path.write_text("nodes 3\nlevels 1=800\nlevels 2=800\nedge 0 1\nedge 0 2\nedge 1 2\n")
 
-    def no_listing(g):
+    def no_listing(adj, within):
         raise AssertionError("the parameter index entries were listed")
 
-    monkeypatch.setattr("latident.loglinear._complete_masks", no_listing)
+    monkeypatch.setattr("latident.loglinear._complete_within", no_listing)
     message = "design matrix of shape (1280000, 1280000) is too large"
     code, out, err = run_cli(capsys, command, str(path))
     assert (code, out) == (1, "")
@@ -890,31 +889,27 @@ def test_memory_error_is_an_error_line(monkeypatch, capsys, command):
 
 def test_memory_error_mid_report_leaves_a_prefix(monkeypatch, capsys):
     # the report is streamed, so what was written before the MemoryError stays
-    # on stdout: a reader checks the exit code before parsing.  The writer's
-    # second coordinate lookup is the first equation's boundary subset.
-    from latident.singular import _Coordinates
+    # on stdout: a reader checks the exit code before parsing.  The writer
+    # names each distinct designated coordinate once; the second name is the
+    # second equation's, after the first equation is written.
+    from latident import cli
 
     _, full, _ = run_cli(capsys, "classify", model_path("k4_pendants"))
     calls = []
-    post_init = _Coordinates.__post_init__
+    name = cli._coordinate_name
 
-    def second_entry_fails(coords):
-        post_init(coords)
-        entry = coords.entry
+    def second_name_fails(mask, width):
+        calls.append(mask)
+        if len(calls) == 2:
+            raise MemoryError
+        return name(mask, width)
 
-        def lookup(slots):
-            calls.append(slots)
-            if len(calls) == 2:
-                raise MemoryError
-            return entry(slots)
-
-        object.__setattr__(coords, "entry", lookup)
-
-    monkeypatch.setattr(_Coordinates, "__post_init__", second_entry_fails)
+    monkeypatch.setattr(cli, "_coordinate_name", second_name_fails)
     code, out, err = run_cli(capsys, "classify", model_path("k4_pendants"))
     assert code == 1
     assert err == "error: out of memory in the classify command\n"
     assert out and full.startswith(out) and len(out) < len(full)
+    assert '"designated": "b{0,1}"' in out  # the first equation
 
 
 def test_missing_file_exit_code(capsys):

@@ -9,13 +9,13 @@ import pytest
 from latident import (
     Graph,
     LatentModel,
-    ParamEntry,
     ValidationError,
     build_param_index,
     design_matrix,
     numeric_rank,
 )
 
+from latident.graph import _bits
 from latident.loglinear import marginalization_matrix, param_count
 
 from conftest import (
@@ -77,21 +77,25 @@ def test_param_count_multi_level():
 def test_param_index_order_and_level_combos():
     m = LatentModel(Graph.from_edges(2, [(0, 1)]), (2, 4))
     idx = build_param_index(m)
-    assert [e.name for e in idx.entries] == [
+    assert idx.width == 3  # node v at level l is slot v * 3 + l - 1
+    assert idx.entries == (0, 0b1, 0b1000, 0b10000, 0b100000, 0b1001, 0b10001, 0b100001)
+    assert idx.names() == [
         "mu", "b{0}", "b{1}", "b{1:2}", "b{1:3}",
         "b{0,1}", "b{0,1:2}", "b{0,1:3}",
     ]
-    sizes = [len(e.nodes) for e in idx.entries]
+    sizes = [e.bit_count() for e in idx.entries]
     assert sizes == sorted(sizes)
 
 
 def test_param_index_hierarchy():
     idx = build_param_index(load_model("k4_pendants"))
-    subsets = {e.nodes for e in idx.entries}
-    for nodes in subsets:
+    assert idx.width == 1  # binary: a coordinate's slot mask is its node mask
+    subsets = set(idx.entries)
+    for mask in subsets:
+        nodes = _bits(mask)
         for r in range(len(nodes)):
             for sub in combinations(nodes, r):
-                assert tuple(sub) in subsets
+                assert sum(1 << v for v in sub) in subsets
 
 
 def test_design_matrix_single_edge():
@@ -132,11 +136,10 @@ def reference_design_matrix(m: LatentModel, idx) -> np.ndarray:
     dims = (2,) + tuple(m.levels[1:])
     cells = np.indices(dims).reshape(len(dims), -1).T
     z = np.empty((cells.shape[0], idx.p), dtype=float)
+    w = idx.width
     for j, e in enumerate(idx.entries):
-        if not e.nodes:
-            z[:, j] = 1.0
-        else:
-            z[:, j] = np.all(cells[:, list(e.nodes)] == e.levels, axis=1)
+        nodes, levels = [s // w for s in _bits(e)], [s % w + 1 for s in _bits(e)]
+        z[:, j] = np.all(cells[:, nodes] == levels, axis=1)  # all ones for mu
     return z
 
 
@@ -166,7 +169,7 @@ def test_design_matrix_stacking_hidden_slowest():
     assert z.shape == (12, idx.p)
     # each row's level of node v, read back from the main-effect columns of v
     cells = np.column_stack([
-        sum(k * z[:, idx.lookup[ParamEntry((v,), (k,))]] for k in range(1, m.levels[v]))
+        sum(k * z[:, idx.lookup[1 << v * idx.width + k - 1]] for k in range(1, m.levels[v]))
         for v in range(3)
     ])
     # hidden level flips halfway, the last variable cycles fastest

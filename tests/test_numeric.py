@@ -31,6 +31,7 @@ from latident import (
 
 from latident import numeric
 from latident.cli import _rank_block, main
+from latident.graph import _bits
 from latident.loglinear import _core, marginalization_matrix, param_count
 from latident.singular import sample_on_subspace
 
@@ -162,7 +163,7 @@ def test_generic_rank_rejects_bad_tolerance(path5, tol):
 @pytest.mark.parametrize("tol", BAD_TOLS)
 def test_rank_on_system_rejects_bad_tolerance(path5, tol):
     with pytest.raises(TypeError, match="tol"):
-        rank_on_system(build_param_index(path5), SingularSystem(()), trials=2, seed=0, tol=tol)
+        rank_on_system(build_param_index(path5), SingularSystem((), 1), trials=2, seed=0, tol=tol)
 
 
 def test_generic_rank_rejects_negative_seed(path5):
@@ -172,7 +173,7 @@ def test_generic_rank_rejects_negative_seed(path5):
 
 def test_rank_on_system_rejects_negative_seed(path5):
     with pytest.raises(ValueError, match="seed must be >= 0"):
-        rank_on_system(build_param_index(path5), SingularSystem(()), trials=2, seed=-1)
+        rank_on_system(build_param_index(path5), SingularSystem((), 1), trials=2, seed=-1)
 
 
 def test_latent_class_three_full_rank():
@@ -188,7 +189,7 @@ def test_rank_invariant_under_column_permutation(triangle_pendants):
     rng = random.Random(0)
     entries = list(idx.entries)
     rng.shuffle(entries)
-    shuffled = ParamIndex(triangle_pendants, tuple(entries))
+    shuffled = ParamIndex(triangle_pendants, tuple(entries), idx.width)
     beta = sample_beta(idx.p, [2, 0])
     r1 = numeric_rank(jacobian(idx, beta)).rank
     r2 = numeric_rank(jacobian(shuffled, beta)).rank
@@ -231,7 +232,7 @@ def test_rank_on_system_triangle_pendants(triangle_pendants):
 
 
 def test_rank_on_empty_system_matches_generic(triangle_pendants):
-    empty = SingularSystem(())
+    empty = SingularSystem((), 1)
     idx = build_param_index(triangle_pendants)
     on_empty = rank_on_system(idx, empty, trials=10, seed=0)
     plain = generic_rank(idx, trials=10, seed=0)
@@ -242,9 +243,9 @@ def test_rank_on_empty_system_matches_generic(triangle_pendants):
 def test_single_boundary_equation_rank_drop(k4_pendants):
     # one boundary hyperplane alone lowers the rank by two on this model
     system = full_system(k4_pendants)
-    eq1 = [e for e in system.equations if e.render() == "b{0,5} + b{0,4,5} = 0"]
+    eq1 = [e for e in system.equations if e.render(system.width) == "b{0,5} + b{0,4,5} = 0"]
     idx = build_param_index(k4_pendants)
-    report = rank_on_system(idx, SingularSystem(tuple(eq1)), trials=30, seed=0)
+    report = rank_on_system(idx, SingularSystem(tuple(eq1), system.width), trials=30, seed=0)
     assert report.rank == 38
     assert report.unanimous
 
@@ -316,13 +317,18 @@ def test_design_lives_only_as_long_as_its_index():
 
 
 def _deficit_models():
-    """The fixtures and the K_{2,3} model with a T1 node; 20 exhaustive graphs
+    """The fixtures, the K_{2,3} model with a T1 node and triangle_pendants with
+    a 4-level T1 node beside 3-level S nodes; 20 exhaustive graphs
     on 5 observed nodes with a singular system, each given 1..3 T1 nodes and,
     every other one, a 3-level node; 40 drawn models on 3..7 observed nodes
     with T1 nodes and 3-level nodes; and 40 binary random graphs on 2..11
     observed nodes, the hidden node joined to a random nonempty subset."""
     yield from map(load_model, FIXTURE_NAMES)
     yield k23_with_t1_model()
+    # a T1 node at 4 levels while S holds 3-level nodes: the model's width, 3,
+    # is not the one the core's levels alone give, 2
+    pendants = load_model("triangle_pendants").graph
+    yield LatentModel(Graph.from_edges(8, [*pendants.edges, (6, 7)]), (2, 2, 3, 2, 2, 3, 2, 4))
     rng = random.Random(11)
     with_system = [g for g in hidden_over_all_graphs() if g.node_count == 6]
     with_system = [g for g in with_system if classify(LatentModel.binary(g)).singular_system]
@@ -356,17 +362,26 @@ def test_core_has_the_model_rank_deficit():
         core_idx = _core(m)
         core, ids = core_idx.model, core_idx.node_ids
         full_idx = build_param_index(m)
-        assert core_idx.names() == [e.name for e in full_idx.entries if set(e.nodes) <= set(ids)]
-        assert core_idx.lookup.keys() <= full_idx.lookup.keys()
-        cols = [full_idx.lookup[e] for e in core_idx.lookup]
+        # one width per model: the core's slot masks are the model's own, in
+        # the model's column order, whatever width the core's levels alone give
+        w = full_idx.width
+        assert core_idx.width == w == max(m.levels) - 1
+        assert core_idx.entries == tuple(
+            e for e in full_idx.entries if {s // w for s in _bits(e)} <= set(ids)
+        )
+        cols = [full_idx.lookup[e] for e in core_idx.entries]
+        assert core_idx.names() == [full_idx.names()[j] for j in cols]
 
         points = [sample_beta(full_idx.p, [7, t]) for t in range(2)]
         system = classify(m).singular_system
         if system is not None:
+            assert system.width == w  # the system's slot masks are the index's
             try:
                 points += [sample_on_subspace(system, full_idx, [7, t]) for t in range(2)]
             except InconsistentSystemError as exc:
-                # the core's elimination names the same coordinate, in model ids
+                # a forced zero, never a term missing from the index; the core's
+                # elimination names the same coordinate, in model ids
+                assert str(exc).startswith("the equations force "), exc
                 with pytest.raises(InconsistentSystemError, match=f"^{re.escape(str(exc))}$"):
                     numeric._eliminate(system, core_idx)
                 counts["forced_zero"] += 1
@@ -406,8 +421,8 @@ def test_rank_command_matches_the_full_table(tmp_path, capsys):
         if system is not None:
             try:
                 points.append(("file", sample_on_subspace(system, full_idx, [7, 0])))
-            except InconsistentSystemError:
-                pass
+            except InconsistentSystemError as exc:
+                assert str(exc).startswith("the equations force "), exc
         for kind, beta in points:
             argv = ["rank", str(path)]
             if kind == "file":

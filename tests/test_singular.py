@@ -25,7 +25,7 @@ from latident import (
 from latident import singular
 from latident.cli import main
 from latident.graph import _bits
-from latident.loglinear import ParamEntry
+from latident.loglinear import _coordinate_name
 from latident.singular import locus_equations_for_set, sample_on_subspace
 
 from conftest import (
@@ -53,12 +53,12 @@ K4_PENDANTS_SYSTEM = {
 
 def test_locus_equations_triangle_pendants(triangle_pendants):
     eqs = locus_equations_for_set(triangle_pendants, frozenset({1, 4, 5}))
-    assert {e.render() for e in eqs} == TRIANGLE_PENDANTS_SYSTEM
+    assert {e.render(1) for e in eqs} == TRIANGLE_PENDANTS_SYSTEM
 
 
 def test_locus_equations_k4_block(k4_pendants):
     eqs = locus_equations_for_set(k4_pendants, frozenset({1, 2, 3, 4}))
-    assert {e.render() for e in eqs} == {
+    assert {e.render(1) for e in eqs} == {
         "b{0,5} + b{0,4,5} = 0",
         "b{0,6} + b{0,4,6} = 0",
     }
@@ -66,7 +66,7 @@ def test_locus_equations_k4_block(k4_pendants):
 
 def test_locus_equations_k4_pendant_edge(k4_pendants):
     eqs = locus_equations_for_set(k4_pendants, frozenset({4, 5}))
-    assert {e.render() for e in eqs} == K4_PENDANTS_SYSTEM - {"b{0,5} + b{0,4,5} = 0"}
+    assert {e.render(1) for e in eqs} == K4_PENDANTS_SYSTEM - {"b{0,5} + b{0,4,5} = 0"}
 
 
 def test_locus_equations_not_applicable_with_sequence(k4_pendants):
@@ -81,12 +81,12 @@ def test_locus_equations_rejects_non_complete(k4_pendants):
 
 def test_full_system_triangle_pendants(triangle_pendants):
     system = full_system(triangle_pendants)
-    assert {e.render() for e in system.equations} == TRIANGLE_PENDANTS_SYSTEM
+    assert {e.render(system.width) for e in system.equations} == TRIANGLE_PENDANTS_SYSTEM
 
 
 def test_full_system_k4_pendants(k4_pendants):
     system = full_system(k4_pendants)
-    assert {e.render() for e in system.equations} == K4_PENDANTS_SYSTEM
+    assert {e.render(system.width) for e in system.equations} == K4_PENDANTS_SYSTEM
     assert len(system.equations) == 9
 
 
@@ -123,27 +123,6 @@ def test_full_system_not_applicable_names_the_failed_condition(tmp_path, capsys,
     assert capsys.readouterr() == ("", reason + "\n")
 
 
-def test_each_distinct_coordinate_is_built_once(monkeypatch):
-    built = []
-
-    def counted(*args):
-        built.append(args)
-        return ParamEntry(*args)
-
-    monkeypatch.setattr(singular, "ParamEntry", counted)
-    system = classify(dense_model(10)).singular_system
-    assert len(system.equations) == 1105
-    assert built == []  # the terms are built on first use
-    terms = [t for _ in range(2) for eq in system.equations for t in eq.terms]  # each read twice
-    assert len(built) == len(set(terms)) < len(terms)
-
-
-def test_equal_coordinates_are_one_shared_entry():
-    eqs = classify(dense_model(10)).singular_system.equations
-    terms = [t for eq in eqs for t in eq.terms]
-    assert len({id(t) for t in terms}) == len(set(terms)) < len(terms)
-
-
 def test_full_system_sources_are_failing_sets(k4_pendants):
     # each failing set is built once: an equation's source set is the very
     # object the verdict lists
@@ -164,13 +143,15 @@ def test_full_system_is_union_over_failing_sets(model):
     if verdict.singular_system is None:
         assert verdict.failing_sets == ()
         return
+    w = model.width
     first_seen = {}
     for s in verdict.failing_sets:
         for eq in locus_equations_for_set(model, s):
-            first_seen.setdefault(eq.render(), (eq.source_set, eq.terms[0].nodes[1:]))
+            first_seen.setdefault(eq.render(w), (eq.source_set, _nodes(eq.terms[0], w)[1:]))
     system = full_system(model)
+    assert system.width == w
     assert {
-        eq.render(): (eq.source_set, eq.terms[0].nodes[1:]) for eq in system.equations
+        eq.render(w): (eq.source_set, _nodes(eq.terms[0], w)[1:]) for eq in system.equations
     } == first_seen
     assert len(system.equations) == len(first_seen)
     assert system.equations == verdict.singular_system.equations
@@ -184,7 +165,7 @@ def test_equation_terms_exist_in_param_index(triangle_pendants, k4_pendants):
             assert cols == sorted(set(cols))  # column order: terms[0] is the lowest
             for term in eq.terms:
                 assert term in idx.lookup
-                assert 0 in term.nodes
+                assert term & 1  # the hidden node's slot
 
 
 def test_sample_on_subspace_satisfies_system(triangle_pendants):
@@ -210,7 +191,7 @@ def test_sample_on_subspace_empty_system_is_unconstrained(path5):
     from latident import sample_beta
 
     idx = build_param_index(path5)
-    beta = sample_on_subspace(SingularSystem(()), idx, seed=4)
+    beta = sample_on_subspace(SingularSystem((), 1), idx, seed=4)
     assert np.array_equal(beta, sample_beta(idx.p, [4, 0]))
 
 
@@ -224,8 +205,19 @@ def test_sample_on_subspace_deterministic(k4_pendants):
 
 def _toy_equation(*term_nodes):
     """All-binary equation with the terms in the order given, which no generator
-    need yield: the sampler reads only an equation's terms."""
-    return SimpleNamespace(terms=tuple(ParamEntry(nodes, (1,) * len(nodes)) for nodes in term_nodes))
+    need yield: the sampler reads only an equation's terms, each the node mask
+    of its nodes (a slot mask at width 1)."""
+    return SimpleNamespace(terms=tuple(sum(1 << v for v in nodes) for nodes in term_nodes))
+
+
+def _nodes(mask, width):
+    """The nodes of a slot mask, ascending."""
+    return tuple(s // width for s in _bits(mask))
+
+
+def _term_key(mask, width):
+    """A coordinate's sort key in column order: size, nodes, levels."""
+    return (mask.bit_count(), _nodes(mask, width), tuple(s % width + 1 for s in _bits(mask)))
 
 
 def _assert_on_system(beta, system, idx):
@@ -240,7 +232,7 @@ def test_sample_on_subspace_eliminates_a_shared_lowest_column(path5):
     idx = build_param_index(path5)
     eq1 = _toy_equation((0, 1), (0, 1, 2))
     eq2 = _toy_equation((0, 1), (0, 2, 3))
-    system = SingularSystem((eq1, eq2))
+    system = SingularSystem((eq1, eq2), 1)
     for seed in range(3):
         _assert_on_system(sample_on_subspace(system, idx, seed), system, idx)
 
@@ -258,7 +250,7 @@ def test_sample_on_subspace_eliminates_a_shared_lowest_column(path5):
 )
 def test_sample_on_subspace_rejects_a_forced_zero(path5, term_lists, name):
     idx = build_param_index(path5)
-    system = SingularSystem(tuple(_toy_equation(*terms) for terms in term_lists))
+    system = SingularSystem(tuple(_toy_equation(*terms) for terms in term_lists), 1)
     with pytest.raises(InconsistentSystemError, match=rf"^the equations force {name} to zero$"):
         sample_on_subspace(system, idx, 0)
 
@@ -270,7 +262,7 @@ def test_rank_on_system_rejects_a_coordinate_outside_the_index(path5, k4_pendant
         rank_on_system(build_param_index(path5), full_system(k4_pendants), trials=1, seed=0)
     # every equation is looked up before any is eliminated, so the missing
     # coordinate is named even after an equation that forces a zero
-    forced_first = SingularSystem((_toy_equation((0, 2, 3)), _toy_equation((0, 1), (0, 1, 4))))
+    forced_first = SingularSystem((_toy_equation((0, 2, 3)), _toy_equation((0, 1), (0, 1, 4))), 1)
     with pytest.raises(InconsistentSystemError, match=message):
         sample_on_subspace(forced_first, build_param_index(path5), 0)
 
@@ -296,7 +288,7 @@ def test_sample_on_subspace_ignores_term_order(path5):
     idx = build_param_index(path5)
     in_order = [[(0, 1), (0, 1, 2), (0, 2, 3)], [(0, 1), (0, 3, 4)], [(0, 2), (0, 4, 5)]]
     systems = [
-        SingularSystem(tuple(_toy_equation(*terms) for terms in term_lists))
+        SingularSystem(tuple(_toy_equation(*terms) for terms in term_lists), 1)
         for term_lists in (in_order, [terms[::-1] for terms in in_order])
     ]
     for seed in range(3):
@@ -307,7 +299,7 @@ def test_sample_on_subspace_ignores_term_order(path5):
 def test_sample_on_subspace_ignores_equation_order(k4_pendants):
     idx = build_param_index(k4_pendants)
     system = full_system(k4_pendants)
-    reverse = SingularSystem(system.equations[::-1])
+    reverse = SingularSystem(system.equations[::-1], system.width)
     for seed in range(3):
         assert sample_on_subspace(reverse, idx, seed).tobytes() == (
             sample_on_subspace(system, idx, seed).tobytes()
@@ -342,7 +334,7 @@ def test_multi_level_expansion_splits_per_level():
     base = load_model("triangle_pendants")
     m = LatentModel(base.graph, (2, 2, 3, 2, 2, 2, 2))
     system = full_system(m)
-    assert {eq.render() for eq in system.equations} == {
+    assert {eq.render(system.width) for eq in system.equations} == {
         "b{0,2} + b{0,2,5} = 0",
         "b{0,2:2} + b{0,2:2,5} = 0",
         "b{0,3} + b{0,3,4} = 0",
@@ -373,7 +365,7 @@ def test_t1_extension_keeps_s_restricted_system(triangle_pendants):
     m = LatentModel.binary(Graph.from_edges(8, edges))
     verdict = classify(m)
     assert verdict.t1_nodes == frozenset({7})
-    assert {e.render() for e in verdict.singular_system.equations} == TRIANGLE_PENDANTS_SYSTEM
+    assert {e.render(1) for e in verdict.singular_system.equations} == TRIANGLE_PENDANTS_SYSTEM
     idx = build_param_index(m)
     assert generic_rank(idx, trials=20, seed=0).rank == idx.p == 30
     assert rank_on_system(idx, verdict.singular_system, trials=20, seed=0).rank == 29
@@ -382,7 +374,7 @@ def test_t1_extension_keeps_s_restricted_system(triangle_pendants):
 # sha256 over each equation's text, first term's name and source, for every
 # system; pinned from the implementation that sorted each equation's terms
 # (dense12 and dense9_3lev from the one that filtered every complete subset
-# against each boundary and built one ParamEntry per term occurrence).
+# against each boundary and built one coordinate object per term occurrence).
 SYSTEM_DIGESTS = {
     "path5": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "path3_isolated": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -416,23 +408,23 @@ def _digest_model(name):
     return load_model(name)
 
 
-def _hash_equations(h, equations):
-    for eq in equations:
-        keys = [(len(t.nodes), t.nodes, t.levels) for t in eq.terms]
+def _hash_equations(h, system):
+    w = system.width
+    for eq in system.equations:
+        keys = [_term_key(t, w) for t in eq.terms]
         assert keys == sorted(keys)
         h.update(
-            f"{eq.render()}|{eq.terms[0].name}|boundary|"
-            f"{sorted(eq.source_set)}|{sorted(eq.terms[0].nodes[1:])}\n".encode()
+            f"{eq.render(w)}|{_coordinate_name(eq.terms[0], w)}|boundary|"
+            f"{sorted(eq.source_set)}|{sorted(_nodes(eq.terms[0], w)[1:])}\n".encode()
         )
 
 
 @pytest.mark.parametrize("name", list(SYSTEM_DIGESTS))
 def test_singular_system_matches_pinned_digest(name):
-    system = classify(_digest_model(name)).singular_system
-    equations = system.equations if system is not None else ()
+    system = classify(_digest_model(name)).singular_system or SingularSystem((), 1)
     h = hashlib.sha256()
-    _hash_equations(h, equations)
-    assert (len(equations), h.hexdigest()) == SYSTEM_DIGESTS[name]
+    _hash_equations(h, system)
+    assert (len(system.equations), h.hexdigest()) == SYSTEM_DIGESTS[name]
 
 
 def test_exhaustive_singular_systems_match_pinned_digest():
@@ -449,7 +441,7 @@ def test_exhaustive_singular_systems_match_pinned_digest():
             if system is not None:
                 systems += 1
                 equations += len(system.equations)
-                _hash_equations(h, system.equations)
+                _hash_equations(h, system)
     assert (systems, equations, h.hexdigest()) == (
         478,
         3018,
@@ -488,12 +480,12 @@ def test_equations_keep_sort_key_order_and_first_source():
         if not eqs:
             continue
         systems += 1
-        g, coords = m.graph, eqs[0].coords
-        width, node_map = coords.width, coords.node_map
-        top = len(node_map) * width
+        g, width = m.graph, verdict.singular_system.width
+        assert width == max(m.levels) - 1
+        top = g.node_count * width
         keys = [singular._sort_key(eq.v0, eq.anchored, width, top, _bits) for eq in eqs]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
-        terms = [[(len(t.nodes), t.nodes, t.levels) for t in eq.terms] for eq in eqs]
+        terms = [[_term_key(t, width) for t in eq.terms] for eq in eqs]
         assert all(a < b for a, b in zip(terms, terms[1:]))
         assert len({(eq.v0, eq.anchored) for eq in eqs}) == len(eqs)
         first = {}
@@ -506,8 +498,7 @@ def test_equations_keep_sort_key_order_and_first_source():
                         first.setdefault((v0, anchored), c)
         count = Counter()
         for eq in eqs:
-            pair = tuple(frozenset(node_map[s // width] for s in _bits(mask))
-                         for mask in (eq.v0, eq.anchored))
+            pair = tuple(frozenset(_nodes(mask, width)) for mask in (eq.v0, eq.anchored))
             assert eq.source_set == first[pair]
             count[pair] += 1
         assert count == {pair: math.prod(m.levels[v] - 1 for v in pair[0] | pair[1]) for pair in first}
@@ -546,7 +537,7 @@ def _assert_boundary_subsets(m, system):
     g = m.graph
     s_nodes = classify(m).s_nodes
     for eq in system.equations:
-        v0 = frozenset(eq.terms[0].nodes[1:])
+        v0 = frozenset(_nodes(eq.terms[0], system.width)[1:])
         assert v0 and v0 <= s_nodes and g.is_complete_set(v0)
         assert not v0 & eq.source_set
         for v in v0:
