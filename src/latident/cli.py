@@ -122,7 +122,7 @@ def parse_model(source: str | IO[str]) -> LatentModel:
     try:
         graph = Graph.from_edges(node_count, edges)
         return LatentModel(graph, tuple(levels.get(v, 2) for v in range(node_count)))
-    except MemoryError:
+    except (MemoryError, OverflowError):  # OverflowError: more nodes than a list can index
         raise ValidationError(f"a model of {node_count} nodes is too large to hold") from None
 
 
@@ -346,7 +346,10 @@ def cmd_rank(path: str, beta_path: str | None = None, seed: int = 0) -> int:
         beta = _load_beta(beta_path, p)
         beta_source = {"kind": "file", "file": beta_path}
     else:
-        beta = sample_beta(p, [seed, 0])
+        try:
+            beta = sample_beta(p, [seed, 0])
+        except ValueError:  # numpy holds fewer than 2^63 entries in an array
+            raise ValidationError(f"a point of p = {p} coordinates is too large to draw") from None
         beta_source = {"kind": "sampled", "seed": seed}
     entries, w = param_entries(m), m.width
     inside = reduce(or_, idx.entries)  # every slot of the core's nodes

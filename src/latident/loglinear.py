@@ -13,7 +13,8 @@ A coordinate is one int, its slot mask in model ids: node v at level l
 so a binary model's slot masks are its complete node masks, and the general
 mean `mu` is 0.  The index, a core's index, the singular system and every
 report read this one form; a name is built only where it is written
-(`_coordinate_name`).
+(`_coordinate_name`).  One expansion (`_level_combinations`) turns a node mask
+into its slot masks, for the index and the singular system alike.
 
 Cell stacking convention: the hidden variable A0 changes slowest, then A1, down
 to An changing fastest (row-major order over (2, l1, ..., ln)).
@@ -23,8 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
+from functools import cache, cached_property
+from itertools import chain, product
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -144,19 +146,26 @@ def build_param_index(m: LatentModel, nodes: tuple[int, ...] | None = None) -> P
     return ParamIndex(sub, param_entries(m, within), m.width, nodes)
 
 
+def _level_combinations(m: LatentModel) -> Callable[[int], Iterator[int]]:
+    """m's one expansion: a node mask in model ids to the slot masks of its level
+    combinations, in column order.  A node's slot list is built on first use, so
+    a node no mask holds costs nothing, whatever its level count."""
+    w, levels = m.width, m.levels
+    slots = cache(lambda v: [1 << v * w + k for k in range(levels[v] - 1)])
+    return lambda mask: map(sum, product(*map(slots, _bits(mask))))
+
+
 def param_entries(m: LatentModel, within: int = -1) -> tuple[int, ...]:
     """Slot mask of every coordinate of m on the nodes of `within` (a node mask,
     all nodes by default): by subset size, then lexicographically on the subset,
-    then on the level combination; p = sum over complete subsets I of
-    prod_{v in I} (levels[v] - 1).  The order reads node ids only through their
-    order, so the core's coordinates (`_core`) keep theirs among the model's.
-    A binary model's slot masks are its complete node masks, taken as they are."""
+    then on the level combination (`_level_combinations`); p = sum over complete
+    subsets I of prod_{v in I} (levels[v] - 1).  The order reads node ids only
+    through their order, so the core's coordinates (`_core`) keep theirs among
+    the model's.  A binary model's slot masks are its complete node masks."""
     subsets = _complete_within(m.graph.adj, within & (1 << m.graph.node_count) - 1)
-    w = m.width
-    if w == 1:
+    if m.width == 1:
         return (0, *subsets)
-    slots = [[1 << v * w + k for k in range(l - 1)] for v, l in enumerate(m.levels)]
-    return (0, *(sum(combo) for c in subsets for combo in product(*map(slots.__getitem__, _bits(c)))))
+    return (0, *chain.from_iterable(map(_level_combinations(m), subsets)))
 
 
 def param_count(m: LatentModel) -> int:

@@ -20,7 +20,8 @@ failing set kept as source.
 An equation is kept as its generator, never as a list of terms: V0 and
 anchored as slot masks in model ids (node v at level l is bit v * w + l - 1,
 w the model's `width`, the layout of the parameter index), plus the source
-set.  Each distinct local mask of G_S is mapped to model ids once.  The
+set.  Each distinct local mask of G_S is mapped to model ids, and expanded by
+`loglinear._level_combinations`, the index's own expansion, once.  The
 coordinate of {0} | V0 | I is the OR of their slot masks with the hidden
 node's slot, and the subsets of a slot mask come in the (size, lexicographic)
 order of their nodes, which is column order.  An equation's `terms` are those
@@ -45,7 +46,7 @@ import numpy as np
 from .errors import NotApplicableError
 from .graph import Graph, NodeSet, _bits, _complete_within, _mask_of, induced_subgraph
 from .identify import Status, _neighborhoods, _plain_ok, classify, latent_partition
-from .loglinear import HIDDEN_SLOT, LatentModel, ParamIndex, _coordinate_name
+from .loglinear import HIDDEN_SLOT, LatentModel, ParamIndex, _coordinate_name, _level_combinations
 from .numeric import _eliminate, _sample
 
 
@@ -113,15 +114,6 @@ def locus_equations_for_set(m: LatentModel, i0: NodeSet) -> list[SingularEquatio
     return list(_singular_system(m, g_s, node_map, {c_mask: i0}).equations)
 
 
-def _slot_mask(mask: int, slot: list[int], level_of: dict[int, int]) -> int:
-    """The slot mask of the nodes of mask, slot[v] the slot of node v at level 1,
-    each at its level in level_of (default 1)."""
-    out = 0
-    for v in _bits(mask):
-        out |= slot[v] << level_of.get(v, 1) - 1
-    return out
-
-
 def _sort_key(
     v0: int, anchored: int, width: int, top: int, bits: Callable[[int], list[int]]
 ) -> tuple[int, ...]:
@@ -173,13 +165,13 @@ def _singular_system(
     boundary, with terms {V0 | I : I <= anchored}, where anchored holds the nodes
     of C adjacent in G_S to all of V0.  The V0 are the complete subsets of the
     boundary only, in any order, and each distinct pair (V0, anchored) is kept
-    once, with the first failing set that yields it as the source.  A pair over
-    multi-level nodes gives one generator per level combination of those nodes,
-    and a pair over two-level nodes alone one generator whose local masks are
-    mapped to slot masks in model ids once per distinct mask.  The generators
-    are sorted on `_sort_key`, through the ranks of the distinct V0 and
-    anchored slot masks.  Each distinct boundary is enumerated once; a pair is
-    keyed by the int v0 << n | anchored of local masks.
+    once, with the first failing set that yields it as the source.  Each
+    distinct local mask is mapped to model ids, and expanded to its slot masks
+    (`loglinear._level_combinations`), once; a pair gives one generator per
+    pair of its V0's and its anchored's slot masks.  The generators are sorted
+    on `_sort_key`, through the ranks of the distinct V0 and anchored slot
+    masks.  Each distinct boundary is enumerated once; a pair is keyed by the
+    int v0 << n | anchored of local masks.
     """
     adj, nbhd, n = g_s.adj, _neighborhoods(g_s), len(node_map)
     bits = cache(_bits)  # each distinct mask's bits, read once
@@ -189,22 +181,17 @@ def _singular_system(
     for c_mask, source_set in failing.items():
         for v0 in within(nbhd[c_mask] & ~c_mask):
             first.setdefault(v0 << n | c_mask & common(v0), source_set)
-    low = (1 << n) - 1
-    levels = [m.levels[v] for v in node_map]
-    width = m.width
-    slot = [1 << v * width for v in node_map]
-    multi = _mask_of(v for v, l in enumerate(levels) if l > 2)
-    if not multi:
-        spread = cache(lambda mask: _slot_mask(mask, slot, {}))
-        gens = [(spread(key >> n), spread(key & low), source_set) for key, source_set in first.items()]
+    low, width, model_bit = (1 << n) - 1, m.width, [1 << v for v in node_map]
+    to_model = cache(lambda mask: sum(map(model_bit.__getitem__, bits(mask))))  # local -> model ids
+    if width == 1:  # a binary node mask is its own slot mask
+        gens = [(to_model(key >> n), to_model(key & low), source_set) for key, source_set in first.items()]
     else:
-        gens = []
-        for key, source_set in first.items():
-            v0, anchored = key >> n, key & low
-            nodes = _bits((v0 | anchored) & multi)
-            for combo in product(*(range(1, levels[v]) for v in nodes)):
-                level_of = dict(zip(nodes, combo))
-                gens.append((*(_slot_mask(x, slot, level_of) for x in (v0, anchored)), source_set))
+        # V0 lies in C's complement boundary and anchored in C: disjoint node sets,
+        # so the level combinations of V0 | anchored are the pairs of their own
+        combos = _level_combinations(m)
+        expand = cache(lambda mask: tuple(combos(to_model(mask))))
+        gens = [(v0, anchored, source_set) for key, source_set in first.items()
+                for v0, anchored in product(expand(key >> n), expand(key & low))]
     top = m.graph.node_count * width
     v0s = sorted({gen[0] for gen in gens}, key=lambda v0: _sort_key(v0, 0, width, top, bits))
     anchs = sorted({gen[1] for gen in gens}, key=lambda a: _sort_key(0, a, width, top, bits))

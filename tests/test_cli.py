@@ -797,12 +797,9 @@ def test_isolated_hidden_node_is_refused(tmp_path, capsys, command):
     )
 
 
-def test_node_count_too_large_to_hold_is_a_validation_error(tmp_path):
-    # 10^8 nodes need 800 MB for the adjacency list alone; the child's address
-    # space is capped at 400 MB, so the model cannot be built
+def _run_capped(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m latident *argv` in a child whose address space is capped at 400 MB."""
     resource = pytest.importorskip("resource")
-    path = tmp_path / "huge.model"
-    path.write_text("nodes 100000000\nedge 0 1\n")
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -810,12 +807,44 @@ def test_node_count_too_large_to_hold_is_a_validation_error(tmp_path):
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "latident", "classify", str(path)],
+    return subprocess.run(
+        [sys.executable, "-m", "latident", *argv],
         capture_output=True, text=True, env=env, timeout=120, preexec_fn=cap_address_space,
     )
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == "error: a model of 100000000 nodes is too large to hold\n"
+
+
+def test_node_count_too_large_to_hold_is_a_validation_error(tmp_path):
+    # 10^8 nodes need 800 MB for the adjacency list alone, over the child's
+    # 400 MB cap; 10^20 nodes are more than a list can index, whatever the cap
+    for count in (10**8, 10**20):
+        path = tmp_path / "huge.model"
+        path.write_text(f"nodes {count}\nedge 0 1\n")
+        proc = _run_capped("classify", str(path))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: a model of {count} nodes is too large to hold\n"
+
+
+def test_verify_never_expands_a_t1_nodes_levels(tmp_path):
+    # triangle_pendants with T1 node 7 at 10^5 levels joined to node 6: the
+    # core {0} | S holds no multi-level node, so verify builds none of node
+    # 7's slot masks (each 87 KB wide; all of them took over 7 GB) and runs in
+    # the child's 400 MB
+    edges = [*load_model("triangle_pendants").graph.edges, (6, 7)]
+    path = tmp_path / "t1_levels.model"
+    path.write_text(model_text(LatentModel(Graph.from_edges(8, edges), (2,) * 7 + (100000,))))
+    proc = _run_capped("verify", str(path), "--trials", "3")
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout)["consistency"]["consistent"] is True
+
+
+def test_rank_refuses_a_point_numpy_cannot_hold(tmp_path, capsys):
+    # a T1 clique K_64 beside the core {0, 1}: p = 2^64 + 4 exceeds numpy's
+    # largest array, so the point cannot be drawn; one error line, no report
+    path = tmp_path / "t1_k64.model"
+    path.write_text(model_text(t1_clique_model(64)))
+    code, out, err = run_cli(capsys, "rank", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: a point of p = {2**64 + 4} coordinates is too large to draw\n"
 
 
 @pytest.mark.parametrize(

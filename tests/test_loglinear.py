@@ -16,7 +16,7 @@ from latident import (
 )
 
 from latident.graph import _bits
-from latident.loglinear import marginalization_matrix, param_count
+from latident.loglinear import marginalization_matrix, param_count, param_entries
 
 from conftest import (
     FIXTURE_NAMES, complete_model, hidden_over_all_graphs, load_model, t1_clique_model,
@@ -96,6 +96,27 @@ def test_param_index_hierarchy():
         for r in range(len(nodes)):
             for sub in combinations(nodes, r):
                 assert sum(1 << v for v in sub) in subsets
+
+
+def test_entries_within_a_node_mask_are_the_models_entries_on_it():
+    # param_entries(m, within) is param_entries(m) less every entry with a slot
+    # on a node outside within, order kept: the core's columns among the
+    # model's.  On every graph of k <= 4 observed nodes, the hidden node
+    # adjacent to all, plus a T1 node k + 1 joined to every observed node;
+    # all nodes binary, then levels 2-4 in turn
+    for g in hidden_over_all_graphs():
+        k = g.node_count - 1
+        if k > 4:
+            break
+        g = Graph.from_edges(k + 2, [*g.edges, *((v, k + 1) for v in range(1, k + 1))])
+        rotations = [(2, *(2 + (v + shift) % 3 for v in range(1, k + 2))) for shift in range(3)]
+        for levels in [(2,) * (k + 2), *rotations]:
+            m = LatentModel(g, levels)
+            w, full = m.width, param_entries(m)
+            assert full == build_param_index(m).entries
+            for within in range(1 << k + 2):
+                kept = tuple(e for e in full if all(within >> s // w & 1 for s in _bits(e)))
+                assert param_entries(m, within) == kept, (levels, sorted(g.edges), within)
 
 
 def test_design_matrix_single_edge():
